@@ -3,8 +3,9 @@
 Standalone script (not a pytest benchmark), wired to ``make check-chaos``
 and CI.  It drives the whole execution stack — budgets, deadlines,
 backoff, cancellation, circuit breakers, brownout closures, threaded
-scheduling — under randomized-but-seeded fault schedules and tight
-deadlines, and holds three gates:
+scheduling, checked multi-device band retries — under
+randomized-but-seeded fault schedules and tight deadlines, and holds
+three gates:
 
 1. **Typed termination** — every one of the ≥50 soak runs must end in a
    bit-correct result or a *typed* resilience error
@@ -44,6 +45,7 @@ import numpy as np
 from repro.backends import list_backends
 from repro.core import SEMIRINGS, mmo
 from repro.hooks.pipeline import Hook
+from repro.hw import Simd2Device
 from repro.resilience import (
     BreakerBoard,
     BudgetExhausted,
@@ -58,6 +60,7 @@ from repro.resilience import (
     ResilienceExhausted,
     RetryPolicy,
     VirtualClock,
+    resilient_closure,
     resilient_mmo,
 )
 from repro.runtime import Trace, use_context
@@ -65,7 +68,7 @@ from repro.runtime.batched import batched_mmo
 from repro.runtime.closure import closure
 from repro.sched import ThreadPoolExecutor
 
-SEEDS = range(60)  # gate floor is 50 seeded runs
+SEEDS = range(70)  # gate floor is 50 seeded runs
 SCENARIOS = (
     "threaded_faults",
     "deadline_backoff",
@@ -73,6 +76,7 @@ SCENARIOS = (
     "brownout",
     "cancellation",
     "breaker",
+    "graph_retry",
 )
 #: Outcome labels that count as *typed* termination (gate 1).
 TYPED_OUTCOMES = frozenset(
@@ -321,6 +325,56 @@ def breaker(seed: int) -> tuple[str, str]:
     return "success", f"{_array_hex(result)} {snapshot}"
 
 
+def graph_retry(seed: int) -> tuple[str, str]:
+    """Checked multi-device closure: band retries back off and spend budget.
+
+    Seeded NaN corruptions hit band launches; each is caught by the band's
+    ABFT check and retried by the graph node's recovery driver, which
+    backs off on the virtual clock and charges the context's retry
+    budget.  A budget of fewer retries than hits ends in
+    ``BudgetExhausted``; otherwise the closure is bit-correct.
+    """
+    rng = np.random.default_rng(seed)
+    adj = _adjacency(seed)
+    hits = rng.choice(6, size=2, replace=False)
+    plan = FaultPlan(
+        seed=seed, corrupt={int(o): FaultSpec(kind="nan") for o in hits}
+    )
+    clock = VirtualClock()
+    budget = ExecutionBudget(max_retries=int(rng.integers(0, 3)))
+    policy = RetryPolicy(
+        max_retries=2, backoff_base_s=0.5, jitter=0.5, seed=seed
+    )
+    trace = Trace()
+    with use_context(
+        backend="vectorized",
+        fault_plan=plan,
+        clock=clock,
+        budget=budget,
+        trace=trace,
+    ) as ctx:
+        try:
+            result = resilient_closure(
+                "min-plus", adj, devices=[Simd2Device(), Simd2Device()],
+                context=ctx, retry=policy,
+            )
+        except BudgetExhausted as exc:
+            outcome, detail = "budget_exhausted", str(exc)
+        else:
+            if not np.array_equal(result.matrix, closure("min-plus", adj).matrix):
+                raise AssertionError("recovered closure diverged from reference")
+            outcome, detail = "success", _array_hex(result.matrix)
+    retries = trace.summary().retries
+    if plan.injected_corruptions == 0 or clock.sleeps != retries:
+        raise AssertionError(
+            f"{plan.injected_corruptions} corruptions, {retries} retries, "
+            f"{clock.sleeps} backoff sleeps: every band retry must back off"
+        )
+    if budget.retries_spent != retries + (outcome == "budget_exhausted"):
+        raise AssertionError("band retries must be charged to the budget")
+    return outcome, f"{detail} retries={retries} slept={clock.slept_s:.9f}"
+
+
 _SCENARIO_FNS = {
     "threaded_faults": threaded_faults,
     "deadline_backoff": deadline_backoff,
@@ -328,6 +382,7 @@ _SCENARIO_FNS = {
     "brownout": brownout,
     "cancellation": cancellation,
     "breaker": breaker,
+    "graph_retry": graph_retry,
 }
 
 

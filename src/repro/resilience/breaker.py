@@ -23,14 +23,15 @@ through the hook pipeline: :class:`BreakerHook` (assembled whenever
 ``device_failure`` :class:`~repro.runtime.trace.ResilienceEvent`\\ s
 against the named backend and reports half-open probe completions from
 the ``post_execute`` seam.  Failure counts are *since the breaker last
-closed*: a verified success (:func:`~repro.resilience.policy
-.resilient_mmo` records one after its ABFT check passes) or a completed
+closed*: a verified success (the launch-node recovery driver records
+one after its ABFT check passes) or a completed
 probe resets them, while an unverified launch merely not-raising does
 not — a backend that returns corrupt results still accumulates the
 verification failures that open it.
 
-Consumers: :func:`~repro.resilience.policy.resilient_mmo` calls
-:meth:`BreakerBoard.try_acquire` before each backend in its fallback
+Consumers: the launch-node recovery driver in :mod:`repro.sched.executor`
+(behind :func:`~repro.resilience.policy.resilient_mmo` and checked
+bands) calls :meth:`BreakerBoard.try_acquire` before each backend in its
 walk (skipping open ones with a ``breaker_open`` event and a
 :class:`BreakerOpen` cause); the ``"auto"`` planning backend filters
 blocked backends out of its :class:`~repro.plan.planner.DispatchPlan`

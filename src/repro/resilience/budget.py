@@ -107,9 +107,9 @@ class ExecutionBudget:
         unlimited.
     max_retries:
         How many *recovery* relaunches the budget funds across every
-        policy consulting it (:func:`~repro.resilience.policy
-        .resilient_mmo` charges one per retry).  ``None`` means
-        unlimited.
+        policy consulting it (the launch-node recovery driver in
+        :mod:`repro.sched.executor` charges one per retry, on every
+        entry point).  ``None`` means unlimited.
 
     The tracker is thread-safe (graph nodes charge concurrently) and,
     like :class:`~repro.resilience.faults.FaultPlan`, deliberately

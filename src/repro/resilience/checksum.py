@@ -292,14 +292,15 @@ class CheckedLaunch:
         context: "ExecutionContext | None" = None,
         api: str = "checked_mmo",
     ) -> "tuple[np.ndarray, KernelStats]":
-        from repro.runtime.context import resolve_context
-        from repro.runtime.kernels import mmo_tiled
+        # A checked, never-retried launch node.  Lazy: policy imports us.
+        from repro.resilience.policy import RetryPolicy, _launch_node
 
-        ctx = resolve_context(context)
-        sums = mmo_checksums(ring, a, b, c, rtol=self.rtol, atol=self.atol)
-        result, stats = mmo_tiled(ring, a, b, c, context=ctx, api=api)
-        self.verify(sums, result, context=ctx, api=api)
-        return result, stats
+        return _launch_node(
+            ring, a, b, c,
+            context=context, api=api, validate_inputs=True,
+            checked=True, retry=RetryPolicy(max_retries=0), fallback=None,
+            rtol=self.rtol, atol=self.atol,
+        )
 
     def verify(
         self,

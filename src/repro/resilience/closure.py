@@ -1,4 +1,4 @@
-"""Fault-tolerant semiring closure: the whole resilience stack in one loop.
+"""Fault-tolerant semiring closure: the whole resilience stack in one call.
 
 :func:`resilient_closure` is the end-to-end composition the paper-scale
 graph workloads need: the Figure-7 iteration ``D ← D ⊕ (D ⊗ X)`` where
@@ -9,9 +9,9 @@ iterates themselves.  Because ⊕-fold checksums verify each band against
 its *inputs*, a recovered run is bit-identical to a fault-free run — the
 property ``benchmarks/bench_resilience.py`` proves end to end.
 
-Single-device callers get the same loop with
-:func:`~repro.resilience.policy.resilient_mmo` (retry + backend fallback)
-in place of the multi-device partitioner.
+Single-device callers get :func:`~repro.runtime.closure.closure`'s loop
+with :func:`~repro.resilience.policy.resilient_mmo` (retry + backend
+fallback) in place of the multi-device partitioner.
 """
 
 from __future__ import annotations
@@ -22,13 +22,15 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.registry import get_semiring
-from repro.core.semiring import Semiring, SemiringError
+from repro.core.semiring import Semiring
+from repro.resilience.faults import ResilienceError
 from repro.resilience.policy import FallbackChain, RetryPolicy, resilient_mmo
 from repro.resilience.watchdog import ClosureDiagnostics, ClosureWatchdog
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hw.device import Simd2Device
     from repro.runtime.context import ExecutionContext
+    from repro.runtime.kernels import KernelStats
     from repro.runtime.multidevice import DeviceShare
 
 __all__ = ["ResilientClosureResult", "resilient_closure"]
@@ -74,6 +76,7 @@ def resilient_closure(
 ) -> ResilientClosureResult:
     """Iterate ``D ← D ⊕ (D ⊗ X)`` to a fixpoint, surviving faults.
 
+    Shares :func:`~repro.runtime.closure.closure`'s iteration loop.
     With ``devices`` the mmo is partitioned row-wise across them
     (:func:`~repro.runtime.multidevice.mmo_tiled_multi_device`) with
     ``checked`` bands and ``on_device_failure`` recovery; the
@@ -81,50 +84,43 @@ def resilient_closure(
     in iteration 2 is never asked again in iteration 3.  Without
     ``devices`` each iteration runs through
     :func:`~repro.resilience.policy.resilient_mmo` (retry + ``fallback``
-    backend chain).
+    backend chain); bands never fall back, so passing ``fallback`` with
+    ``devices`` raises :class:`~repro.resilience.faults.ResilienceError`.
 
     The ``watchdog`` observes every iterate; on a trip the loop stops
     with the structured diagnosis instead of burning the iteration cap.
     """
-    from repro.runtime.closure import matrices_equal, max_iterations_for
+    from repro.runtime.closure import _iterate, matrices_equal
     from repro.runtime.context import resolve_context
     from repro.runtime.multidevice import mmo_tiled_multi_device
 
+    if devices is not None and fallback is not None:
+        raise ResilienceError(
+            "resilient_closure: fallback= applies to single-device runs; "
+            "devices= bands recover by retry and repartition — pass one "
+            "of devices= or fallback=, not both"
+        )
     ring = get_semiring(ring)
     ctx = resolve_context(context, backend=backend)
-    current = np.asarray(adjacency, dtype=ring.output_dtype)
-    if current.ndim != 2 or current.shape[0] != current.shape[1]:
-        raise SemiringError(
-            f"closure needs a square matrix, got shape {current.shape}"
-        )
-    if method not in ("leyzorek", "bellman-ford"):
-        raise SemiringError(f"unknown closure method {method!r}")
-    n = current.shape[0]
-    if max_iterations is not None:
-        limit = max_iterations
-    else:
-        limit = max_iterations_for(method, n) + (1 if convergence_check else 0)
-    if limit <= 0:
-        raise SemiringError(f"max_iterations must be positive, got {limit}")
-
-    guard: ClosureWatchdog | None = None
-    if watchdog:
-        guard = watchdog if isinstance(watchdog, ClosureWatchdog) else ClosureWatchdog(ring)
     blacklist = blacklist if blacklist is not None else set()
-
-    base = current.copy()
-    converged = False
-    iterations = 0
-    mmo_calls = 0
-    diagnostics: ClosureDiagnostics | None = None
     shares: "tuple[DeviceShare, ...]" = ()
 
-    for _ in range(limit):
-        operand = current if method == "leyzorek" else base
+    def step(
+        current: np.ndarray, operand: np.ndarray, iteration: int
+    ) -> tuple[np.ndarray, list[KernelStats], bool]:
+        nonlocal shares
         # In-loop launches skip ring-input validation: iterates may carry
         # NaN/±inf legitimately (fault studies, NaN fixpoints) — the
         # watchdog and ABFT checksums own in-loop poison detection.
-        if devices is not None:
+        if devices is None:
+            updated, stats = resilient_mmo(
+                ring, current, operand, current,
+                context=ctx, retry=retry, fallback=fallback,
+                checked=checked, rtol=rtol, atol=atol,
+                api="resilient_closure", validate_inputs=False,
+            )
+            launched = [stats]
+        else:
             updated, share_list = mmo_tiled_multi_device(
                 ring, current, operand, current,
                 devices=devices, context=ctx,
@@ -134,46 +130,22 @@ def resilient_closure(
                 validate_inputs=False,
             )
             shares = tuple(share_list)
-        else:
-            updated, _stats = resilient_mmo(
-                ring, current, operand, current,
-                context=ctx, retry=retry, fallback=fallback,
-                checked=checked, rtol=rtol, atol=atol,
-                api="resilient_closure", validate_inputs=False,
-            )
-        mmo_calls += 1
-        iterations += 1
-        if guard is not None:
-            diagnostics = guard.observe(updated, current, iterations)
-            if diagnostics is not None:
-                current = updated
-                from repro.hooks.pipeline import emit_event
+            launched = [share.stats for share in shares]
+        return updated, launched, convergence_check and matrices_equal(updated, current)
 
-                emit_event(
-                    ctx,
-                    kind="watchdog",
-                    api="resilient_closure",
-                    detail=diagnostics.describe(),
-                )
-                break
-        if convergence_check and matrices_equal(updated, current):
-            current = updated
-            converged = True
-            break
-        current = updated
-
-    if guard is not None and diagnostics is None:
-        diagnostics = ClosureDiagnostics(
-            healthy=True, reason=None, iteration=iterations,
-            detail="no poisoning, regression, or oscillation observed",
-        )
+    result = _iterate(
+        ring, adjacency, step,
+        context=ctx, api="resilient_closure", method=method,
+        convergence_check=convergence_check, max_iterations=max_iterations,
+        watchdog=watchdog,
+    )
     return ResilientClosureResult(
-        matrix=current,
-        iterations=iterations,
-        converged=converged,
+        matrix=result.matrix,
+        iterations=result.iterations,
+        converged=result.converged,
         method=method,
-        mmo_calls=mmo_calls,
-        diagnostics=diagnostics,
+        mmo_calls=result.iterations,
+        diagnostics=result.diagnostics,
         blacklist=frozenset(blacklist),
         device_shares=shares,
     )

@@ -1,8 +1,11 @@
 """Recovery policies: bounded retries and backend fallback chains.
 
 The resilience layer separates *detection* (fault plan events, ABFT
-checksums, hardware errors) from *response*.  This module owns the
-response side for single launches:
+checksums, hardware errors) from *response*.  This module defines the
+response; one driver applies it — the launch-node recovery driver in
+:mod:`repro.sched.executor`, behind :func:`resilient_mmo`,
+:func:`~repro.resilience.checksum.checked_mmo`, :func:`~repro.resilience
+.closure.resilient_closure` and checked or retried multi-device bands:
 
 - :class:`RetryPolicy` — how many times to relaunch after a retryable
   failure (an injected drop, a detected corruption), and how long to
@@ -39,14 +42,13 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro.compile.artifact import CompileError
-from repro.hooks.pipeline import emit_event
 from repro.hw.errors import HardwareError
-from repro.resilience.checksum import CheckedLaunch, CorruptionDetected, mmo_checksums
+from repro.resilience.checksum import CorruptionDetected
 from repro.resilience.faults import DeviceFailure, InjectedFault, ResilienceError
 from repro.runtime.kernels import OperandValidationError
 
@@ -259,12 +261,12 @@ def resilient_mmo(
 ) -> "tuple[np.ndarray, KernelStats]":
     """``mmo_tiled`` with ABFT verification, retries, and backend fallback.
 
-    Attempts the launch on the context's backend up to ``retry.max_attempts``
-    times, verifying the ABFT invariant after each launch when ``checked``
-    (checksums are computed once, before the first launch).  When a backend
-    exhausts its retries on a fallback-worthy failure, the next backend in
-    ``fallback`` takes over.  Raises :class:`ResilienceExhausted` when the
-    whole chain fails; non-recoverable errors (shape validation, unknown
+    A one-node launch graph whose node carries ``checked``, ``retry`` and
+    ``fallback`` into the scheduler's recovery driver: up to
+    ``retry.max_attempts`` launches per backend, each ABFT-verified when
+    ``checked`` (checksums computed once), then the next backend in
+    ``fallback``.  Raises :class:`ResilienceExhausted` when the whole
+    chain fails; non-recoverable errors (shape validation, unknown
     rings) propagate immediately.
 
     SLO integration, all opt-in through context fields:
@@ -280,83 +282,45 @@ def resilient_mmo(
       typed) and backoff sleeps are charged against the deadline.
     - ``ctx.clock`` — backoff sleeps flow through the injectable clock,
       so a virtual clock replays the whole schedule deterministically.
+    - ``ctx.cancel`` / the deadline — checked before the node starts.
     """
+    return _launch_node(
+        ring, a, b, c,
+        context=context, api=api, validate_inputs=validate_inputs,
+        checked=checked, retry=retry,
+        fallback=fallback if fallback is not None else FallbackChain(),
+        rtol=rtol, atol=atol,
+    )
+
+
+def _launch_node(
+    ring: "Semiring | str | MmoOpcode",
+    a: np.ndarray,
+    b: np.ndarray,
+    c: np.ndarray | None,
+    *,
+    context: "ExecutionContext | None",
+    api: str,
+    validate_inputs: bool,
+    **policy: Any,
+) -> "tuple[np.ndarray, KernelStats]":
+    """Run one launch node carrying ``policy``; reject bad operands first."""
     from repro.compile.lower import resolve_opcode
-    from repro.resilience.breaker import BreakerOpen
-    from repro.resilience.clock import resolve_clock
     from repro.runtime.context import resolve_context
-    from repro.runtime.kernels import mmo_tiled
+    from repro.runtime.kernels import _validate_operands, _validate_ring_inputs
+    from repro.sched.executor import resolve_scheduler
+    from repro.sched.graph import GraphBuilder
 
     opcode = resolve_opcode(ring)
     ctx = resolve_context(context)
-    retry = retry if retry is not None else RetryPolicy()
-    fallback = fallback if fallback is not None else FallbackChain()
-    checker = CheckedLaunch(rtol=rtol, atol=atol) if checked else None
-    sums = (
-        mmo_checksums(opcode.semiring, a, b, c, rtol=rtol, atol=atol)
-        if checker is not None
-        else None
+    a, b, c, _, _, _ = _validate_operands(a, b, c)
+    if validate_inputs:
+        _validate_ring_inputs(opcode.semiring, a, b, c)
+    builder = GraphBuilder(ctx, api)
+    ref = builder.launch(
+        opcode, builder.constant(a), builder.constant(b),
+        None if c is None else builder.constant(c),
+        validate_inputs=False, **policy,
     )
-    board = ctx.breakers
-    budget = ctx.budget
-    clock = resolve_clock(ctx)
-
-    causes: list[tuple[str, BaseException]] = []
-    for backend_name in fallback.plan(ctx.backend, ring=opcode, a=a, b=b, c=c):
-        if board is not None and not board.try_acquire(backend_name):
-            skip = BreakerOpen(backend_name, state=board.state_of(backend_name))
-            emit_event(
-                ctx, kind="breaker_open", api=api, backend=backend_name,
-                detail=str(skip),
-            )
-            causes.append((backend_name, skip))
-            continue
-        attempt_ctx = ctx.replace(backend=backend_name)
-        if backend_name != ctx.backend:
-            emit_event(
-                ctx, kind="fallback", api=api, backend=backend_name,
-                detail=f"degrading {causes[-1][0]} -> {backend_name}: "
-                       f"{causes[-1][1]}",
-            )
-        last: BaseException | None = None
-        for attempt in range(retry.max_attempts):
-            try:
-                result, stats = mmo_tiled(
-                    opcode, a, b, c, context=attempt_ctx, api=api,
-                    validate_inputs=validate_inputs,
-                )
-                if checker is not None and sums is not None:
-                    checker.verify(sums, result, context=attempt_ctx, api=api)
-                    if board is not None:
-                        # Verified evidence: reset the backend's failure
-                        # count (the hook's probe_only success cannot).
-                        board.record_success(backend_name)
-                return result, stats
-            except Exception as exc:  # noqa: BLE001 - classified below
-                last = exc
-                if board is not None and classify(exc) == "transient":
-                    emit_event(
-                        ctx, kind="backend_failure", api=api,
-                        backend=backend_name,
-                        detail=f"{type(exc).__name__}: {exc}",
-                    )
-                if retry.should_retry(exc, attempt):
-                    if budget is not None:
-                        budget.charge_retry(clock)
-                    emit_event(
-                        ctx, kind="retry", api=api, backend=backend_name,
-                        detail=f"attempt {attempt + 1} failed: {exc}",
-                        attempt=attempt + 1,
-                    )
-                    delay = retry.backoff_s(attempt)
-                    if budget is not None:
-                        budget.charge_sleep(clock, delay)
-                    elif delay > 0.0:
-                        clock.sleep(delay)
-                    continue
-                if fallback.should_fall_back(exc):
-                    break  # next backend in the chain
-                raise  # non-recoverable: propagate as-is
-        assert last is not None
-        causes.append((backend_name, last))
-    raise ResilienceExhausted(causes)
+    result = resolve_scheduler(ctx).run(builder.build(), context=ctx)
+    return np.asarray(result[ref]), result.stats_of(ref)

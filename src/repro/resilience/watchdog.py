@@ -27,6 +27,7 @@ import numpy as np
 
 from repro.core.registry import get_semiring
 from repro.core.semiring import Semiring
+from repro.runtime.closure import matrices_equal
 
 __all__ = ["ClosureDiagnostics", "ClosureWatchdog"]
 
@@ -149,8 +150,8 @@ class ClosureWatchdog:
                 )
 
         if self.check_oscillation and self._previous2 is not None:
-            same_as_t2 = _equal(updated, self._previous2)
-            changed_from_t1 = not _equal(updated, previous)
+            same_as_t2 = matrices_equal(updated, self._previous2)
+            changed_from_t1 = not matrices_equal(updated, previous)
             if same_as_t2 and changed_from_t1:
                 return ClosureDiagnostics(
                     healthy=False,
@@ -164,9 +165,3 @@ class ClosureWatchdog:
         self._previous = np.array(updated, copy=True)
         return None
 
-
-def _equal(x: np.ndarray, y: np.ndarray) -> bool:
-    """Whole-matrix equality with ``NaN == NaN`` (bool-dtype safe)."""
-    if np.issubdtype(np.asarray(x).dtype, np.floating):
-        return bool(np.array_equal(x, y, equal_nan=True))
-    return bool(np.array_equal(x, y))

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -89,6 +89,118 @@ def max_iterations_for(method: str, num_vertices: int) -> int:
     if method == "leyzorek":
         return max(1, math.ceil(math.log2(num_vertices)))
     raise SemiringError(f"unknown closure method {method!r}")
+
+
+def _iteration_limit(
+    method: str, shape: tuple[int, ...], convergence_check: bool,
+    max_iterations: int | None,
+) -> int:
+    """Validate a closure's matrix shape and method; return its loop bound."""
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise SemiringError(f"closure needs a square matrix, got shape {shape}")
+    if method not in ("leyzorek", "bellman-ford"):
+        raise SemiringError(f"unknown closure method {method!r}")
+    # With a convergence check one extra iteration *observes* the fixpoint.
+    limit = (
+        max_iterations if max_iterations is not None
+        else max_iterations_for(method, shape[0]) + int(convergence_check)
+    )
+    if limit <= 0:
+        raise SemiringError(f"max_iterations must be positive, got {limit}")
+    return limit
+
+
+def _iterate(
+    ring: Semiring,
+    adjacency: np.ndarray,
+    step: Callable[
+        [np.ndarray, np.ndarray, int], tuple[np.ndarray, list[KernelStats], bool]
+    ],
+    *,
+    context: ExecutionContext,
+    api: str,
+    method: str,
+    convergence_check: bool,
+    max_iterations: int | None,
+    watchdog: "bool | ClosureWatchdog",
+    on_budget: str = "raise",
+) -> ClosureResult:
+    """The Figure-7 host loop behind :func:`closure` and
+    :func:`~repro.resilience.closure.resilient_closure`.
+
+    The loop owns the bound, the watchdog, the convergence check and the
+    budget brownout; ``step(current, operand, iteration)`` runs one
+    iteration and returns the new iterate, its launches' kernel
+    statistics, and whether the iterate equals ``current``.
+    """
+    # Lazy: repro.resilience imports the runtime package.
+    from repro.resilience.budget import BudgetError
+    from repro.resilience.watchdog import ClosureDiagnostics, ClosureWatchdog
+
+    current = np.asarray(adjacency, dtype=ring.output_dtype)
+    limit = _iteration_limit(
+        method, current.shape, convergence_check, max_iterations
+    )
+    guard = None
+    if watchdog:
+        guard = watchdog if isinstance(watchdog, ClosureWatchdog) else ClosureWatchdog(ring)
+    brownout: tuple[type[BaseException], ...] = (
+        (BudgetError,) if on_budget == "brownout" else ()
+    )
+
+    base = current.copy()
+    converged = False
+    iterations = 0
+    checks = 0
+    diagnostics: "ClosureDiagnostics | None" = None
+    all_stats: list[KernelStats] = []
+    for _ in range(limit):
+        operand = current if method == "leyzorek" else base
+        try:
+            updated, stats, same = step(current, operand, iterations)
+        except brownout as exc:
+            # Best-effort degradation: keep the last completed iterate as
+            # the partial fixpoint and flag it, instead of discarding the
+            # work already paid for.
+            diagnostics = ClosureDiagnostics(
+                healthy=False, reason="budget_exhausted",
+                iteration=iterations, detail=str(exc),
+            )
+            emit_event(
+                context, kind="brownout", api=api, detail=diagnostics.describe()
+            )
+            break
+        all_stats.extend(stats)
+        iterations += 1
+        if guard is not None:
+            diagnostics = guard.observe(updated, current, iterations)
+        current = updated
+        if diagnostics is not None:
+            emit_event(
+                context, kind="watchdog", api=api, detail=diagnostics.describe()
+            )
+            break
+        if convergence_check:
+            checks += 1
+            if same:
+                converged = True
+                break
+
+    if guard is not None and diagnostics is None:
+        diagnostics = ClosureDiagnostics(
+            healthy=True, reason=None, iteration=iterations,
+            detail="no poisoning, regression, or oscillation observed",
+        )
+    return ClosureResult(
+        matrix=current,
+        iterations=iterations,
+        converged=converged,
+        method=method,
+        mmo_calls=len(all_stats),
+        convergence_checks=checks,
+        kernel_stats=tuple(all_stats),
+        diagnostics=diagnostics,
+    )
 
 
 def closure(
@@ -173,53 +285,15 @@ def closure(
     """
     ring = get_semiring(ring)
     ctx = resolve_context(context, backend=backend, device=device)
-    current = np.asarray(adjacency, dtype=ring.output_dtype)
-    if current.ndim != 2 or current.shape[0] != current.shape[1]:
-        raise SemiringError(
-            f"closure needs a square matrix, got shape {current.shape}"
-        )
-    n = current.shape[0]
-    if max_iterations is not None:
-        limit = max_iterations
-    else:
-        # With a convergence check the loop runs until the matrix stops
-        # changing; one extra iteration is needed to *observe* the fixpoint.
-        limit = max_iterations_for(method, n) + (1 if convergence_check else 0)
-    if limit <= 0:
-        raise SemiringError(f"max_iterations must be positive, got {limit}")
-    if method not in ("leyzorek", "bellman-ford"):
-        raise SemiringError(f"unknown closure method {method!r}")
     if bands <= 0:
         raise SemiringError(f"bands must be positive, got {bands}")
     if on_budget not in ("raise", "brownout"):
         raise SemiringError(
             f"on_budget must be 'raise' or 'brownout', got {on_budget!r}"
         )
-
-    guard: "ClosureWatchdog | None" = None
-    if watchdog:
-        if watchdog is True:
-            # Lazy import: repro.resilience imports the runtime package.
-            from repro.resilience.watchdog import ClosureWatchdog
-
-            guard = ClosureWatchdog(ring)
-        else:
-            guard = watchdog
-
-    base = current.copy()
-    converged = False
-    iterations = 0
-    checks = 0
-    diagnostics: "ClosureDiagnostics | None" = None
-    all_stats: list[KernelStats] = []
-
-    # Each iteration lowers onto a LaunchGraph (band launches + optional
-    # convergence-check node) run by the context's scheduler.  The
-    # ArtifactPool persists across iterations, so the first launch of
-    # each band shape reports the compile call's hit flag (a miss on a
-    # cold cache) and every replay a hit — the one-miss-then-hits
-    # signature of the compile/execute split.
-    # Lazy: repro.sched orchestrates this module's loops.
+    # Each iteration is a LaunchGraph (band launches + the NaN-safe
+    # check node); the ArtifactPool outlives it, so a cold cache shows
+    # one compile miss, then hits.  Lazy: repro.sched runs our loops.
     from repro.sched.builders import ArtifactPool, closure_step_graph
     from repro.sched.executor import resolve_scheduler
 
@@ -227,82 +301,27 @@ def closure(
     pool = ArtifactPool(ctx, "closure")
     scheduler = resolve_scheduler(ctx)
 
-    for _ in range(limit):
-        operand = current if method == "leyzorek" else base
+    def step(
+        current: np.ndarray, operand: np.ndarray, iteration: int
+    ) -> tuple[np.ndarray, list[KernelStats], bool]:
         # Only the first launch sees the caller's validate_inputs choice;
         # replays iterate whatever the ring produced (NaN fixpoints and
         # injected faults included — the watchdog owns in-loop detection).
-        validate = validate_inputs and iterations == 0
         graph, out_ref, check_ref, launch_refs = closure_step_graph(
             ctx, pool, opcode, current, operand,
             bands=bands, convergence_check=convergence_check,
-            validate_inputs=validate,
+            validate_inputs=validate_inputs and iteration == 0,
         )
-        if on_budget == "brownout":
-            # Lazy: repro.resilience imports the runtime package.
-            from repro.resilience.budget import BudgetError
-            from repro.resilience.watchdog import ClosureDiagnostics
-
-            try:
-                step = scheduler.run(graph, context=ctx)
-            except BudgetError as exc:
-                # Best-effort degradation: keep the last completed
-                # iterate as the partial fixpoint and flag it, instead
-                # of discarding the work already paid for.
-                diagnostics = ClosureDiagnostics(
-                    healthy=False,
-                    reason="budget_exhausted",
-                    iteration=iterations,
-                    detail=str(exc),
-                )
-                emit_event(
-                    ctx,
-                    kind="brownout",
-                    api="closure",
-                    detail=diagnostics.describe(),
-                )
-                break
-        else:
-            step = scheduler.run(graph, context=ctx)
-        updated = np.asarray(step[out_ref])
-        for ref in launch_refs:
-            all_stats.append(step.stats_of(ref))
-        iterations += 1
-        if guard is not None:
-            diagnostics = guard.observe(updated, current, iterations)
-            if diagnostics is not None:
-                current = updated
-                emit_event(
-                    ctx,
-                    kind="watchdog",
-                    api="closure",
-                    detail=diagnostics.describe(),
-                )
-                break
-        if convergence_check:
-            checks += 1
-            # NaN-safe: a NaN fixpoint is still a fixpoint (NaN != NaN
-            # under np.array_equal would spin to the iteration cap).
-            if check_ref is not None and bool(step[check_ref]):
-                current = updated
-                converged = True
-                break
-        current = updated
-
-    if guard is not None and diagnostics is None:
-        from repro.resilience.watchdog import ClosureDiagnostics
-
-        diagnostics = ClosureDiagnostics(
-            healthy=True, reason=None, iteration=iterations,
-            detail="no poisoning, regression, or oscillation observed",
+        result = scheduler.run(graph, context=ctx)
+        return (
+            np.asarray(result[out_ref]),
+            [result.stats_of(ref) for ref in launch_refs],
+            check_ref is not None and bool(result[check_ref]),
         )
-    return ClosureResult(
-        matrix=current,
-        iterations=iterations,
-        converged=converged,
-        method=method,
-        mmo_calls=len(all_stats),
-        convergence_checks=checks,
-        kernel_stats=tuple(all_stats),
-        diagnostics=diagnostics,
+
+    return _iterate(
+        ring, adjacency, step,
+        context=ctx, api="closure", method=method,
+        convergence_check=convergence_check, max_iterations=max_iterations,
+        watchdog=watchdog, on_budget=on_budget,
     )

@@ -130,10 +130,11 @@ class ExecutionContext:
         nothing.
     breakers:
         Optional :class:`~repro.resilience.breaker.BreakerBoard` of
-        per-backend circuit breakers.  When set,
-        :func:`~repro.resilience.policy.resilient_mmo` and the
-        ``"auto"`` planner skip open backends (half-open probe launches
-        recover them), fed by failure events through the hook pipeline.
+        per-backend circuit breakers.  When set, the launch-node
+        recovery driver (behind :func:`~repro.resilience.policy
+        .resilient_mmo` and checked bands) and the ``"auto"`` planner
+        skip open backends (half-open probe launches recover them), fed
+        by failure events through the hook pipeline.
         ``None`` costs nothing.
     """
 

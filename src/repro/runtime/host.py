@@ -18,9 +18,9 @@ import numpy as np
 
 from repro.compile.lower import resolve_opcode
 from repro.core.registry import get_semiring
-from repro.core.semiring import Semiring, SemiringError
+from repro.core.semiring import Semiring
 from repro.hw.device import Simd2Device
-from repro.runtime.closure import max_iterations_for
+from repro.runtime.closure import _iteration_limit
 from repro.runtime.context import ExecutionContext, resolve_context
 from repro.runtime.kernels import KernelStats, mmo_tiled
 
@@ -138,17 +138,11 @@ class HostRuntime:
         and leaves the final matrix in the adjacency buffer.
         """
         ring = get_semiring(ring)
-        if method not in ("leyzorek", "bellman-ford"):
-            raise SemiringError(f"unknown closure method {method!r}")
         dist = self.device.global_memory[adjacency_name]
-        if dist.ndim != 2 or dist.shape[0] != dist.shape[1]:
-            raise SemiringError(f"closure needs a square buffer, got {dist.shape}")
-        n = dist.shape[0]
+        limit = _iteration_limit(
+            method, dist.shape, convergence_check, max_iterations
+        )
         base = dist.copy()
-        if max_iterations is not None:
-            limit = max_iterations
-        else:
-            limit = max_iterations_for(method, n) + (1 if convergence_check else 0)
 
         converged = False
         iterations = 0

@@ -70,63 +70,6 @@ class DeviceShare:
         return self.row_stop - self.row_start
 
 
-def _run_partition(
-    roster: list[tuple[int, Simd2Device]],
-    semiring: Semiring,
-    a: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray | None,
-    ctx: ExecutionContext,
-    *,
-    checked: bool,
-    retry: "RetryPolicy | None",
-    wrap_hw_errors: bool,
-    rtol: float,
-    atol: float,
-) -> tuple[np.ndarray, list[DeviceShare]]:
-    """Run one banding of the rows over ``roster``; raise DeviceFailure on loss.
-
-    The banding is lowered onto a :class:`~repro.sched.graph.LaunchGraph`
-    — one launch node per device band carrying the device and the
-    resilience policy (ABFT checking, retries, hardware-error wrapping),
-    plus a gather node with pinned row windows — and run by the
-    context's scheduler.  Band nodes are independent, so a thread-pool
-    scheduler runs devices concurrently with bit-identical results.
-    A device the fault plan hard-fails raises at *build* time, in band
-    order, so the ordinals of bands built before it are preserved across
-    the repartition rebuild.
-    """
-    m, k = a.shape
-    n = b.shape[1]
-    if m == 0:
-        out = (
-            semiring.full((m, n)) if c is None
-            else np.asarray(c, semiring.output_dtype)
-        )
-        return out, []
-
-    # Lazy: repro.sched orchestrates this module's loops.
-    from repro.sched.builders import multidevice_graph
-    from repro.sched.executor import resolve_scheduler
-
-    graph, out_ref, bands = multidevice_graph(
-        roster, semiring, a, b, c, ctx,
-        checked=checked, retry=retry, wrap_hw_errors=wrap_hw_errors,
-        rtol=rtol, atol=atol,
-    )
-    result = resolve_scheduler(ctx).run(graph, context=ctx)
-    shares = [
-        DeviceShare(
-            device_index=index,
-            row_start=row_start,
-            row_stop=row_stop,
-            stats=result.stats_of(ref),
-        )
-        for index, row_start, row_stop, ref in bands
-    ]
-    return np.asarray(result[out_ref]), shares
-
-
 def mmo_tiled_multi_device(
     ring: Semiring | str | MmoOpcode,
     a: np.ndarray,
@@ -204,6 +147,11 @@ def mmo_tiled_multi_device(
 
     blacklist = blacklist if blacklist is not None else set()
     repartition = on_device_failure == "repartition"
+    # Lazy: repro.resilience sits above; repro.sched orchestrates this loop.
+    from repro.resilience.faults import DeviceFailure
+    from repro.sched.builders import multidevice_graph
+    from repro.sched.executor import resolve_scheduler
+
     while True:
         roster = [
             (index, device)
@@ -215,17 +163,21 @@ def mmo_tiled_multi_device(
                 f"no surviving devices: all {len(devices)} blacklisted "
                 f"({sorted(blacklist)})"
             )
+        # One launch node per device band, carrying the device and the
+        # resilience policy, plus a pinned-window gather; a thread-pool
+        # scheduler runs the bands concurrently, bit-identically.  A
+        # device the fault plan hard-fails raises at *build* time, in
+        # band order, so earlier bands keep their ordinals across the
+        # repartition rebuild.
         try:
-            return _run_partition(
+            graph, out_ref, bands = multidevice_graph(
                 roster, semiring, a, b, c, ctx,
-                checked=checked, retry=retry,
-                wrap_hw_errors=repartition,
+                checked=checked, retry=retry, wrap_hw_errors=repartition,
                 rtol=rtol, atol=atol,
             )
-        except Exception as exc:
-            from repro.resilience.faults import DeviceFailure
-
-            if not (repartition and isinstance(exc, DeviceFailure)):
+            result = resolve_scheduler(ctx).run(graph, context=ctx)
+        except DeviceFailure as exc:
+            if not repartition:
                 raise
             blacklist.add(exc.device_index)
             emit_event(
@@ -239,3 +191,9 @@ def mmo_tiled_multi_device(
                        f"across {survivors} surviving device(s) "
                        f"(blacklist {sorted(blacklist)})",
             )
+            continue
+        shares = [
+            DeviceShare(index, row_start, row_stop, result.stats_of(ref))
+            for index, row_start, row_stop, ref in bands
+        ]
+        return np.asarray(result[out_ref]), shares

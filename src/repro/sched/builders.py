@@ -23,7 +23,7 @@ the hand-rolled loops exactly:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
@@ -38,7 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compile.artifact import CompiledMmo
     from repro.core.semiring import Semiring
     from repro.hw.device import Simd2Device
-    from repro.resilience.policy import RetryPolicy
     from repro.runtime.context import ExecutionContext
 
 __all__ = [
@@ -298,20 +297,16 @@ def multidevice_graph(
     b: np.ndarray,
     c: np.ndarray | None,
     context: "ExecutionContext",
-    *,
-    checked: bool,
-    retry: "RetryPolicy | None",
-    wrap_hw_errors: bool,
-    rtol: float,
-    atol: float,
+    **policy: Any,
 ) -> tuple[LaunchGraph, Ref, list[tuple[int, int, int, Ref]]]:
     """Lower one multi-device banding: per-device launches plus a gather.
 
     Output rows are partitioned tile-aligned across the roster; each
-    band's node carries its device, resilience policy (ABFT checking,
-    retries) and a ``band [start:stop)`` label for retry events.  The
-    context's fault plan is consulted *at build time*, in band order:
-    a device scheduled to hard-fail raises
+    band's node carries its device, the resilience ``policy`` keywords
+    of :meth:`~repro.sched.graph.GraphBuilder.launch` (ABFT checking,
+    retries, hardware-error wrapping) and a ``band [start:stop)`` label
+    for retry events.  The context's fault plan is consulted *at build
+    time*, in band order: a device scheduled to hard-fail raises
     :class:`~repro.resilience.faults.DeviceFailure` before that band's
     ordinal is reserved — bands built earlier keep their ordinals, so a
     repartition rebuild numbers exactly like the pre-graph retry loop.
@@ -356,12 +351,8 @@ def multidevice_graph(
             validate_inputs=False,
             device=device,
             device_index=index,
-            checked=checked,
-            retry=retry,
-            wrap_hw_errors=wrap_hw_errors,
-            rtol=rtol,
-            atol=atol,
             label=f"band [{row_start}:{row_stop})",
+            **policy,
         )
         bands.append((index, row_start, row_stop, ref))
     out_ref = builder.gather(

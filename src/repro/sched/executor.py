@@ -45,6 +45,7 @@ import numpy as np
 
 from repro.hw.errors import HardwareError
 from repro.hooks.pipeline import emit_event
+from repro.runtime.closure import matrices_equal
 from repro.runtime.kernels import KernelStats, execute_compiled, mmo_tiled
 from repro.sched.graph import (
     CheckStep,
@@ -212,88 +213,136 @@ def _needs_backend_lock(context: "ExecutionContext") -> bool:
     return not capabilities_of(get_backend(context.backend)).thread_safe
 
 
+def _attempt(
+    node: LaunchStep, a: np.ndarray, b: np.ndarray, c: np.ndarray | None,
+    ctx: "ExecutionContext", ordinal: int | None,
+) -> tuple[np.ndarray, KernelStats]:
+    """One launch attempt: replay the artifact (or dispatch), wrap hw errors."""
+    try:
+        if node.compiled is not None:
+            return execute_compiled(
+                node.compiled, a, b, c,
+                context=ctx, api=node.api,
+                cache_hit=node.cache_hit,
+                validate_inputs=node.validate_inputs,
+                fault_ordinal=ordinal,
+            )
+        return mmo_tiled(
+            node.opcode, a, b, c,
+            context=ctx, api=node.api,
+            validate_inputs=node.validate_inputs,
+            fault_ordinal=ordinal,
+        )
+    except HardwareError as exc:
+        if not node.wrap_hw_errors:
+            raise
+        from repro.resilience.faults import DeviceFailure  # lazy: layered above
+
+        assert node.device_index is not None
+        raise DeviceFailure(node.device_index, str(exc)) from exc
+
+
 def _run_launch(
     graph: LaunchGraph,
     node: LaunchStep,
     values: "list[np.ndarray | bool | None]",
     context: "ExecutionContext",
 ) -> tuple[np.ndarray, KernelStats]:
-    """One launch node: device swap, checksums, retries, failure wrapping."""
+    """One launch node: a single attempt, or the one recovery driver.
+
+    A node with ``checked``/``retry``/``fallback`` policy walks its
+    backend chain (the context's backend alone without ``fallback``),
+    skipping backends whose breaker refuses.  This is the only code that
+    retries, verifies ABFT checksums and falls back: a transient failure
+    feeds the breakers, a retryable one spends a budget retry and backs
+    off on the context clock, a fallback-worthy one moves down the
+    chain; anything else — and a chainless node's last failure — raises.
+    """
     a = _resolve(graph, values, node.a)
     b = _resolve(graph, values, node.b)
     c = None if node.c is None else _resolve(graph, values, node.c)
     assert isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
     assert c is None or isinstance(c, np.ndarray)
-    ctx = context if node.device is None else context.replace(device=node.device)
+    context = context if node.device is None else context.replace(device=node.device)
+    if not (node.checked or node.retry is not None or node.fallback is not None):
+        return _attempt(node, a, b, c, context, node.fault_ordinal)
 
-    checker = None
-    sums = None
-    policy = None
-    retryable: "tuple[type[BaseException], ...]" = ()
-    if node.checked or node.retry is not None:
-        # Lazy: repro.resilience sits above this package in the layering.
-        from repro.resilience.checksum import CheckedLaunch, mmo_checksums
-        from repro.resilience.policy import RETRYABLE, RetryPolicy
+    # Lazy: repro.resilience sits above this package in the layering.
+    from repro.resilience import (
+        BreakerOpen, CheckedLaunch, DeviceFailure, ResilienceExhausted,
+        RetryPolicy, classify, mmo_checksums, resolve_clock,
+    )
 
-        retryable = RETRYABLE
-        policy = node.retry if node.retry is not None else RetryPolicy()
-        if node.checked:
-            checker = CheckedLaunch(rtol=node.rtol, atol=node.atol)
-            sums = mmo_checksums(
-                node.opcode.semiring, a, b, c, rtol=node.rtol, atol=node.atol
+    def emit(kind: str, backend: str, detail: str, attempt: int = 0) -> None:
+        emit_event(
+            context, kind=kind, api=node.api, backend=backend, detail=detail,
+            attempt=attempt, device_index=node.device_index,
+        )
+
+    retry = node.retry if node.retry is not None else RetryPolicy()
+    fallback = node.fallback
+    sums = (
+        mmo_checksums(node.opcode.semiring, a, b, c, rtol=node.rtol, atol=node.atol)
+        if node.checked else None
+    )
+    board, budget, clock = context.breakers, context.budget, resolve_clock(context)
+    first = context.backend
+    chain = (first,) if fallback is None else fallback.plan(
+        first, ring=node.opcode, a=a, b=b, c=c
+    )
+    # The build-time ordinal belongs to the first attempt; later attempts
+    # claim fresh ones, deterministically escaping a transient fault.
+    ordinal = node.fault_ordinal
+    causes: list[tuple[str, BaseException]] = []
+    for backend in chain:
+        if board is not None and not board.try_acquire(backend):
+            skip = BreakerOpen(backend, state=board.state_of(backend))
+            emit("breaker_open", backend, str(skip))
+            causes.append((backend, skip))
+            continue
+        ctx = context
+        if backend != first:
+            ctx = context.replace(backend=backend)
+            emit(
+                "fallback", backend,
+                f"degrading {causes[-1][0]} -> {backend}: {causes[-1][1]}",
             )
-
-    attempts = policy.max_attempts if policy is not None else 1
-    for attempt in range(attempts):
-        # The build-time ordinal belongs to the first attempt; a retry
-        # claims a fresh one at execute time, deterministically escaping
-        # a transient scheduled fault (the pre-graph retry semantics).
-        ordinal = node.fault_ordinal if attempt == 0 else None
-        try:
-            if node.compiled is not None:
-                result, stats = execute_compiled(
-                    node.compiled, a, b, c,
-                    context=ctx, api=node.api,
-                    cache_hit=node.cache_hit,
-                    validate_inputs=node.validate_inputs,
-                    fault_ordinal=ordinal,
-                )
-            else:
-                result, stats = mmo_tiled(
-                    node.opcode, a, b, c,
-                    context=ctx, api=node.api,
-                    validate_inputs=node.validate_inputs,
-                    fault_ordinal=ordinal,
-                )
-            if checker is not None and sums is not None:
-                checker.verify(sums, result, context=ctx, api=node.api)
-            return result, stats
-        except HardwareError as exc:
-            if not node.wrap_hw_errors:
-                raise
-            from repro.resilience.faults import DeviceFailure  # lazy: layered above
-
-            assert node.device_index is not None
-            raise DeviceFailure(node.device_index, str(exc)) from exc
-        except retryable as exc:
-            if attempt + 1 >= attempts:
-                raise
-            emit_event(
-                context, kind="retry", api=node.api,
-                attempt=attempt + 1, device_index=node.device_index,
-                detail=f"{node.label or node.api} attempt "
-                       f"{attempt + 1} failed: {exc}",
-            )
-    raise AssertionError("unreachable: retry loop returns or raises")
-
-
-def _matrices_match(
-    x: "np.ndarray | bool", y: "np.ndarray | bool", equal_nan: bool
-) -> bool:
-    arr = np.asarray(x)
-    if equal_nan and np.issubdtype(arr.dtype, np.floating):
-        return bool(np.array_equal(arr, np.asarray(y), equal_nan=True))
-    return bool(np.array_equal(arr, np.asarray(y)))
+        for attempt in range(retry.max_attempts):
+            try:
+                result, stats = _attempt(node, a, b, c, ctx, ordinal)
+                if sums is not None:
+                    CheckedLaunch().verify(sums, result, context=ctx, api=node.api)
+                    if board is not None:
+                        # Verified evidence resets the failure count (the
+                        # hook's unverified probe_only success cannot).
+                        board.record_success(backend)
+                return result, stats
+            except Exception as exc:  # noqa: BLE001 - classified below
+                ordinal = None
+                if node.wrap_hw_errors and isinstance(exc, DeviceFailure):
+                    raise  # the partitioner blacklists and repartitions
+                if board is not None and classify(exc) == "transient":
+                    emit("backend_failure", backend, f"{type(exc).__name__}: {exc}")
+                if retry.should_retry(exc, attempt):
+                    if budget is not None:
+                        budget.charge_retry(clock)
+                    emit(
+                        "retry", backend,
+                        f"{node.label or node.api} attempt {attempt + 1} "
+                        f"failed: {exc}",
+                        attempt=attempt + 1,
+                    )
+                    delay = retry.backoff_s(attempt)
+                    if budget is not None:
+                        budget.charge_sleep(clock, delay)
+                    elif delay > 0.0:
+                        clock.sleep(delay)
+                    continue
+                if fallback is None or not fallback.should_fall_back(exc):
+                    raise
+                causes.append((backend, exc))
+                break
+    raise ResilienceExhausted(causes)
 
 
 def _run_node(
@@ -323,14 +372,10 @@ def _run_node(
             out[row_start:row_stop] = _resolve(graph, values, ref)
         return out, None
     if isinstance(node, CheckStep):
-        return (
-            _matrices_match(
-                _resolve(graph, values, node.x),
-                _resolve(graph, values, node.y),
-                node.equal_nan,
-            ),
-            None,
-        )
+        x = np.asarray(_resolve(graph, values, node.x))
+        y = np.asarray(_resolve(graph, values, node.y))
+        same = matrices_equal(x, y) if node.equal_nan else np.array_equal(x, y)
+        return bool(same), None
     raise GraphError(f"unknown node type {type(node).__name__}")
 
 

@@ -45,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compile.artifact import CompiledMmo
     from repro.core.semiring import Semiring
     from repro.hw.device import Simd2Device
-    from repro.resilience.policy import RetryPolicy
+    from repro.resilience.policy import FallbackChain, RetryPolicy
     from repro.runtime.context import ExecutionContext
 
 __all__ = [
@@ -116,12 +116,13 @@ class LaunchStep:
     is the node's build-time-reserved fault-plan ordinal (``None`` when
     no plan rides the context, or for degenerate empty-output launches).
 
-    The resilience fields make retry/fallback per-node *policy*:
-    ``checked`` verifies the result against its ⊕-fold ABFT checksums,
-    ``retry`` re-runs the node on retryable failures (each retry claims a
-    fresh ordinal, deterministically escaping transient faults), and
-    ``wrap_hw_errors`` converts emulator
-    :class:`~repro.hw.errors.HardwareError`\\ s into
+    The resilience fields make recovery per-node *policy*, applied by
+    the executor's one recovery driver: ``checked`` verifies the result
+    against its ⊕-fold ABFT checksums, ``retry`` re-runs the node on
+    retryable failures (each retry claims a fresh ordinal,
+    deterministically escaping transient faults), ``fallback`` walks a
+    backend chain once retries are spent, and ``wrap_hw_errors``
+    converts emulator :class:`~repro.hw.errors.HardwareError`\\ s into
     :class:`~repro.resilience.faults.DeviceFailure` carrying
     ``device_index`` so the caller can repartition.
     """
@@ -139,6 +140,7 @@ class LaunchStep:
     device_index: int | None = None
     checked: bool = False
     retry: "RetryPolicy | None" = None
+    fallback: "FallbackChain | None" = None
     wrap_hw_errors: bool = False
     rtol: float = 1e-4
     atol: float = 1e-6
@@ -303,6 +305,7 @@ class GraphBuilder:
         device_index: int | None = None,
         checked: bool = False,
         retry: "RetryPolicy | None" = None,
+        fallback: "FallbackChain | None" = None,
         wrap_hw_errors: bool = False,
         rtol: float = 1e-4,
         atol: float = 1e-6,
@@ -334,6 +337,7 @@ class GraphBuilder:
             device_index=device_index,
             checked=checked,
             retry=retry,
+            fallback=fallback,
             wrap_hw_errors=wrap_hw_errors,
             rtol=rtol,
             atol=atol,

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.registry import get_semiring
 from repro.core.semiring import Semiring, SemiringError
-from repro.runtime.closure import max_iterations_for
+from repro.runtime.closure import _iteration_limit
 from repro.sparse.csr import CsrMatrix
 from repro.sparse.spgemm import SpgemmStats, _merge_by_column, spgemm
 
@@ -112,17 +112,9 @@ def sparse_closure(
     implicit value is the ring's ⊕ identity.
     """
     ring = get_semiring(ring)
-    if adjacency.shape[0] != adjacency.shape[1]:
-        raise SemiringError(f"closure needs a square matrix, got {adjacency.shape}")
-    if method not in ("leyzorek", "bellman-ford"):
-        raise SemiringError(f"unknown closure method {method!r}")
-    n = adjacency.shape[0]
-    if max_iterations is not None:
-        limit = max_iterations
-    else:
-        limit = max_iterations_for(method, n) + (1 if convergence_check else 0)
-    if limit <= 0:
-        raise SemiringError(f"max_iterations must be positive, got {limit}")
+    limit = _iteration_limit(
+        method, adjacency.shape, convergence_check, max_iterations
+    )
 
     current = adjacency
     base = adjacency

@@ -6,8 +6,12 @@ import numpy as np
 import pytest
 
 from repro.core import SEMIRINGS, mmo
+from repro.hw import Simd2Device
 from repro.resilience import (
+    BreakerBoard,
+    BudgetExhausted,
     CorruptionDetected,
+    ExecutionBudget,
     FallbackChain,
     FaultPlan,
     FaultSpec,
@@ -15,10 +19,53 @@ from repro.resilience import (
     ResilienceError,
     ResilienceExhausted,
     RetryPolicy,
+    VirtualClock,
     resilient_mmo,
 )
-from repro.runtime import RuntimeError_, Trace, use_context
+from repro.runtime import RuntimeError_, Trace, mmo_tiled_multi_device, use_context
 from tests.conftest import make_ring_inputs
+
+
+class ResilientMmo:
+    """``resilient_mmo``: walks the planner-ordered fallback chain."""
+
+    has_fallback = True
+    exhausted = ResilienceExhausted
+
+    def run(self, a, b, ctx, **policy):
+        result, _ = resilient_mmo("min-plus", a, b, context=ctx, **policy)
+        return result
+
+    def backends(self, a, b):
+        return FallbackChain().plan("vectorized", ring="min-plus", a=a, b=b)
+
+
+class CheckedBand:
+    """A one-device ``mmo_tiled_multi_device(checked=True)`` band node.
+
+    Bands have no fallback chain, so a spent band re-raises its last
+    failure instead of :class:`ResilienceExhausted`.
+    """
+
+    has_fallback = False
+    exhausted = InjectedFault
+
+    def run(self, a, b, ctx, **policy):
+        result, _ = mmo_tiled_multi_device(
+            "min-plus", a, b, devices=[Simd2Device()], context=ctx,
+            checked=True, **policy,
+        )
+        return result
+
+    def backends(self, a, b):
+        return ("vectorized",)
+
+
+#: Every entry point that reaches the launch-node recovery driver must
+#: show the same retry, budget, backoff and breaker semantics.
+DRIVERS = pytest.mark.parametrize(
+    "driver", [ResilientMmo(), CheckedBand()], ids=["mmo", "band"]
+)
 
 
 class TestRetryPolicy:
@@ -137,16 +184,58 @@ class TestResilientMmo:
                 resilient_mmo("min-plus", a, bad_b, context=ctx)
         assert plan.launches_seen == 0
 
-    def test_retry_budget_is_respected(self, rng):
+    @DRIVERS
+    def test_retry_budget_is_respected(self, driver, rng):
         a, b, _ = make_ring_inputs(SEMIRINGS["min-plus"], 16, 16, 16, rng, with_c=False)
         plan = FaultPlan(drop=range(100))
         policy = RetryPolicy(max_retries=0)
         with use_context(backend="vectorized", fault_plan=plan) as ctx:
-            with pytest.raises(ResilienceExhausted):
-                resilient_mmo("min-plus", a, b, context=ctx, retry=policy)
-        # one attempt per backend in the planner-ordered chain, no retries
-        chain = FallbackChain().plan("vectorized", ring="min-plus", a=a, b=b)
-        assert plan.launches_seen == len(chain)
+            with pytest.raises(driver.exhausted):
+                driver.run(a, b, ctx, retry=policy)
+        # one attempt per backend the entry point walks, no retries
+        assert plan.launches_seen == len(driver.backends(a, b))
+
+    @DRIVERS
+    def test_empty_retry_on_never_retries(self, driver, rng):
+        a, b, _ = make_ring_inputs(SEMIRINGS["min-plus"], 16, 16, 16, rng, with_c=False)
+        trace = Trace()
+        plan = FaultPlan(drop=(0,))
+        with use_context(backend="vectorized", fault_plan=plan, trace=trace) as ctx:
+            try:
+                result = driver.run(a, b, ctx, retry=RetryPolicy(retry_on=()))
+            except InjectedFault:
+                assert not driver.has_fallback
+            else:  # the dropped launch degraded to the next backend instead
+                assert driver.has_fallback
+                np.testing.assert_array_equal(result, mmo("min-plus", a, b))
+        assert trace.events_of("retry") == []
+        assert plan.launches_seen == (2 if driver.has_fallback else 1)
+
+    @DRIVERS
+    def test_retries_spend_the_context_budget(self, driver, rng):
+        a, b, _ = make_ring_inputs(SEMIRINGS["min-plus"], 16, 16, 16, rng, with_c=False)
+        budget = ExecutionBudget(max_retries=0)
+        with use_context(
+            backend="vectorized", fault_plan=FaultPlan(drop=(0,)), budget=budget
+        ) as ctx:
+            with pytest.raises(BudgetExhausted, match="retry budget of 0"):
+                driver.run(a, b, ctx)
+        assert budget.retries_spent == 1
+
+    @DRIVERS
+    def test_failures_feed_the_breaker(self, driver, rng):
+        a, b, _ = make_ring_inputs(SEMIRINGS["min-plus"], 16, 16, 16, rng, with_c=False)
+        clock = VirtualClock()
+        board = BreakerBoard(failure_threshold=1, clock=clock)
+        with use_context(
+            backend="vectorized", fault_plan=FaultPlan(drop=(0,)),
+            breakers=board, clock=clock,
+        ) as ctx:
+            result = driver.run(a, b, ctx)
+        np.testing.assert_array_equal(result, mmo("min-plus", a, b))
+        # The retry's verified success arrives while the breaker is open:
+        # a straggler proves nothing, so the breaker stays open.
+        assert board.state_of("vectorized") == "open"
 
 
 class TestErrorTaxonomy:
@@ -184,22 +273,23 @@ class TestErrorTaxonomy:
         assert not greedy.should_fall_back(OperandValidationError("x"))
         assert greedy.should_fall_back(InjectedFault("x"))
 
-    def test_greedy_policy_no_longer_burns_launches_on_caller_bugs(self, rng):
+    @DRIVERS
+    def test_greedy_policy_no_longer_burns_launches_on_caller_bugs(
+        self, driver, rng
+    ):
         # The original bug: a blanket retry_on retried shape-validation
         # errors, re-running the same rejection max_retries times.
         a = rng.random((16, 16))
         bad_b = rng.random((8, 16))
         plan = FaultPlan()
-        greedy = RetryPolicy(max_retries=5, retry_on=(Exception,))
+        policy = {"retry": RetryPolicy(max_retries=5, retry_on=(Exception,))}
+        if driver.has_fallback:
+            policy["fallback"] = FallbackChain(
+                backends=("vectorized", "emulate"), fallback_on=(Exception,)
+            )
         with use_context(backend="vectorized", fault_plan=plan) as ctx:
             with pytest.raises(RuntimeError_, match="bad mmo operand shapes"):
-                resilient_mmo(
-                    "min-plus", a, bad_b, context=ctx, retry=greedy,
-                    fallback=FallbackChain(
-                        backends=("vectorized", "emulate"),
-                        fallback_on=(Exception,),
-                    ),
-                )
+                driver.run(a, bad_b, ctx, **policy)
         assert plan.launches_seen == 0
 
 
@@ -241,9 +331,8 @@ class TestBackoff:
         with pytest.raises(ResilienceError, match="jitter"):
             RetryPolicy(jitter=2.0)
 
-    def test_retry_sleeps_flow_through_the_context_clock(self, rng):
-        from repro.resilience import VirtualClock
-
+    @DRIVERS
+    def test_retry_sleeps_flow_through_the_context_clock(self, driver, rng):
         a, b, _ = make_ring_inputs(
             SEMIRINGS["min-plus"], 16, 16, 16, rng, with_c=False
         )
@@ -253,18 +342,15 @@ class TestBackoff:
         with use_context(
             backend="vectorized", fault_plan=plan, clock=clock
         ) as ctx:
-            result, _ = resilient_mmo("min-plus", a, b, context=ctx, retry=policy)
+            result = driver.run(a, b, ctx, retry=policy)
         # Two retries: backoff slept 1s then 2s, all on the virtual clock.
         assert clock.sleeps == 2
         assert clock.slept_s == pytest.approx(3.0)
         np.testing.assert_array_equal(result, mmo("min-plus", a, b))
 
-    def test_backoff_sleeps_charged_against_the_deadline(self, rng):
-        from repro.resilience import (
-            DeadlineExceeded,
-            ExecutionBudget,
-            VirtualClock,
-        )
+    @DRIVERS
+    def test_backoff_sleeps_charged_against_the_deadline(self, driver, rng):
+        from repro.resilience import DeadlineExceeded
 
         a, b, _ = make_ring_inputs(
             SEMIRINGS["min-plus"], 16, 16, 16, rng, with_c=False
@@ -277,7 +363,7 @@ class TestBackoff:
             backend="vectorized", fault_plan=plan, clock=clock, budget=budget
         ) as ctx:
             with pytest.raises(DeadlineExceeded):
-                resilient_mmo("min-plus", a, b, context=ctx, retry=policy)
+                driver.run(a, b, ctx, retry=policy)
         # The second backoff (2s) would overrun the 2.5s deadline: only
         # the remaining allowance was slept, never past the deadline.
         assert clock.slept_s <= 2.5 + 1e-9

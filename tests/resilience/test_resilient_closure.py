@@ -85,6 +85,34 @@ class TestMultiDevice:
         assert res.blacklist == frozenset({1})
         assert all(sh.device_index == 0 for sh in res.device_shares)
 
+    def test_band_retries_spend_the_budget(self, rng):
+        from repro.resilience import BudgetExhausted, ExecutionBudget
+
+        adj = shortest_path_graph(32, rng)
+        budget = ExecutionBudget(max_retries=0)
+        plan = FaultPlan(seed=5, corrupt={1: FaultSpec(kind="nan")})
+        with use_context(backend="emulate", fault_plan=plan, budget=budget) as ctx:
+            with pytest.raises(BudgetExhausted, match="retry budget of 0"):
+                resilient_closure(
+                    "min-plus", adj, devices=[Simd2Device(), Simd2Device()],
+                    context=ctx, max_iterations=30,
+                )
+        assert plan.injected_corruptions == 1
+        assert budget.retries_spent == 1
+
+    def test_fallback_with_devices_rejected(self, rng):
+        from repro.resilience import FallbackChain, ResilienceError
+
+        adj = shortest_path_graph(16, rng)
+        plan = FaultPlan(drop=range(100))
+        with use_context(backend="emulate", fault_plan=plan) as ctx:
+            with pytest.raises(ResilienceError, match="devices=.*fallback="):
+                resilient_closure(
+                    "min-plus", adj, devices=[Simd2Device()], context=ctx,
+                    fallback=FallbackChain(backends=("emulate", "vectorized")),
+                )
+        assert plan.launches_seen == 0
+
     def test_all_devices_dead_raises(self, rng):
         from repro.runtime import RuntimeError_
 

@@ -96,3 +96,12 @@ class TestHostClosure:
         host.upload("dist", adjacency)
         with pytest.raises(SemiringError, match="unknown closure method"):
             host.run_closure("min-plus", "dist", method="johnson")
+
+    @pytest.mark.parametrize("max_iterations", [0, -3])
+    def test_non_positive_max_iterations_rejected(self, adjacency, max_iterations):
+        # Same contract as closure(): no silent 0-iteration "result".
+        host = HostRuntime(backend="vectorized")
+        host.upload("dist", adjacency)
+        with pytest.raises(SemiringError, match="max_iterations must be positive"):
+            host.run_closure("min-plus", "dist", max_iterations=max_iterations)
+        assert "mmo_launch" not in host.event_kinds()

@@ -126,3 +126,30 @@ class TestBuildTimeOrdinals:
                 with pytest.raises(InjectedFault, match="dropped launch 1"):
                     scheduler.run(graph, context=ctx)
             assert plan.injected_drops == 1
+
+
+class TestRecoveryDriver:
+    """A launch node's policy is the one retry/check/fallback path."""
+
+    def test_node_never_retries_a_permanent_error(self, rng):
+        from repro.resilience import RetryPolicy
+        from repro.runtime import Trace
+        from repro.runtime.kernels import OperandValidationError
+
+        a, b, _ = make_ring_inputs(MIN_PLUS, 16, 16, 16, rng, with_c=False)
+        a[0, 0] = np.nan  # poisons min-plus: a deterministic rejection
+        plan = FaultPlan()
+        trace = Trace()
+        greedy = RetryPolicy(max_retries=5, retry_on=(Exception,))
+        with use_context(backend="vectorized", fault_plan=plan, trace=trace) as ctx:
+            builder = GraphBuilder(ctx, "node")
+            builder.launch(
+                resolve_opcode(MIN_PLUS),
+                builder.constant(a),
+                builder.constant(b),
+                retry=greedy,
+            )
+            with pytest.raises(OperandValidationError, match="NaN"):
+                SerialExecutor().run(builder.build(), context=ctx)
+        assert plan.launches_seen == 1  # the build-time ordinal, no retry
+        assert trace.events_of("retry") == []
