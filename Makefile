@@ -50,9 +50,10 @@ check-chaos:
 
 # Scheduler health: lowering a single launch onto a LaunchGraph stays
 # within 1.05x of direct dispatch; a 4-worker threaded banded closure is
-# byte-identical to serial; and on >=4 CPUs the 2048² 4-band closure
-# iteration runs >=1.8x faster threaded (skipped, and recorded as
-# skipped, on smaller machines; writes benchmarks/results/scheduler.json).
+# byte-identical to serial; and with w = min(4, CPUs) workers the 2048²
+# w-band closure iteration runs >= 1 + 0.8(w-1)/3 times faster threaded
+# (1.8x on 4 CPUs, 1.27x on 2; skipped, and recorded as skipped, on one
+# CPU; writes benchmarks/results/scheduler.json).
 check-scheduler:
 	PYTHONPATH=src python benchmarks/bench_scheduler.py --out benchmarks/results/scheduler.json
 

@@ -1,10 +1,16 @@
-"""Hot-path wall-clock tracking: emulator MMO and spGEMM, before vs after.
+"""Hot-path wall-clock tracking: semiring kernel, emulator MMO and spGEMM.
 
 Standalone script (not a pytest benchmark): times the seed's scalar
 decompositions — kept in-tree as ``Simd2Device(batched_mmo=False)`` and
 ``spgemm_reference`` — against the vectorized paths that replaced them on
 the hot loops, asserts the results are bit-identical, and writes a JSON
 artifact so the perf trajectory is tracked from PR to PR.
+
+The whole-matrix kernel ``repro.core.ops.mmo`` is timed the same way
+against a frozen copy of the row-blocked broadcast-and-reduce kernel it
+replaced (:func:`_broadcast_reduce_mmo`), and gated: the streaming kernel
+must be at least ``KERNEL_MIN_SPEEDUP`` times faster on a min-plus launch
+(512² in smoke mode, 2048² with ``--full``) and give the same bits.
 
 Usage::
 
@@ -14,8 +20,8 @@ Usage::
 
 Smoke mode runs small sizes in a few seconds (wired to ``make bench-smoke``
 and CI); ``--full`` adds the acceptance-criteria points: 512² emulate
-(scalar vs batched, the ≥10× target), 1024² emulate, and a 4096² Figure-14
-sparse point.
+(scalar vs batched, the ≥10× target), 1024² emulate, a 4096² Figure-14
+sparse point, and the 2048² kernel gate.
 """
 
 from __future__ import annotations
@@ -29,9 +35,73 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core import get_semiring
+from repro.core import ops as core_ops
+from repro.core.precision import quantize_input
 from repro.hw.device import Simd2Device
 from repro.runtime.kernels import mmo_tiled
 from repro.sparse import CsrMatrix, spgemm, spgemm_reference
+
+
+#: The streaming kernel must beat the broadcast-and-reduce baseline by this.
+KERNEL_MIN_SPEEDUP = 1.8
+
+
+def _broadcast_reduce_mmo(ring, a, b):
+    """The row-blocked kernel ``repro.core.ops.mmo`` replaced, frozen here.
+
+    Per block of 64 output rows it builds the whole ``(64, k, n)`` ⊗
+    temporary and ⊕-reduces it along ``k``.
+    """
+    ring = get_semiring(ring)
+    a16 = quantize_input(np.asarray(a), ring).astype(ring.output_dtype)
+    b16 = quantize_input(np.asarray(b), ring).astype(ring.output_dtype)
+    out = ring.full((a16.shape[0], b16.shape[1]))
+    for start in range(0, len(a16), 64):
+        block = a16[start : start + 64]
+        with np.errstate(invalid="ignore"):
+            products = ring.otimes(block[:, :, None], b16[None, :, :])
+        reduced = ring.reduce(products, axis=1)
+        out[start : start + 64] = ring.combine(out[start : start + 64], reduced)
+    return out
+
+
+def bench_kernel(records: list[dict], n: int, *, repeats: int) -> float:
+    """Streaming kernel vs the frozen baseline on an n² min-plus launch.
+
+    Min-of-``repeats``, the two kernels alternating so host drift hits
+    both alike.  Returns the speedup; exits on a bit mismatch.
+    """
+    rng = np.random.default_rng(5)
+    # Continuous weights with "no edge" entries, as an APSP launch sees.
+    a = rng.uniform(0.5, 8.5, (n, n))
+    b = rng.uniform(0.5, 8.5, (n, n))
+    a[rng.random((n, n)) < 0.5] = np.inf
+    b[rng.random((n, n)) < 0.5] = np.inf
+    timings = {"broadcast": float("inf"), "streaming": float("inf")}
+    results = {}
+    for _ in range(repeats):
+        for mode, kernel in (
+            ("broadcast", _broadcast_reduce_mmo),
+            ("streaming", core_ops.mmo),
+        ):
+            t0 = time.perf_counter()
+            results[mode] = kernel("min-plus", a, b)
+            timings[mode] = min(timings[mode], time.perf_counter() - t0)
+    if not np.array_equal(results["streaming"], results["broadcast"]):
+        raise SystemExit(f"kernel {n}²: streaming result != broadcast result")
+    for mode, seconds in timings.items():
+        records.append({"case": "kernel_mmo", "n": n, "mode": mode, "seconds": seconds})
+    speedup = timings["broadcast"] / timings["streaming"]
+    print(f"kernel  {n:5d}² min-plus  broadcast {timings['broadcast']:8.3f}s  "
+          f"streaming {timings['streaming']:8.3f}s  "
+          f"(speedup {speedup:4.2f}x, need >= {KERNEL_MIN_SPEEDUP}x, bit-identical)")
+    if speedup < KERNEL_MIN_SPEEDUP:
+        raise SystemExit(
+            f"kernel {n}²: streaming kernel {speedup:.2f}x faster than the "
+            f"broadcast baseline, below the {KERNEL_MIN_SPEEDUP}x gate"
+        )
+    return speedup
 
 
 def _emulate_case(n: int, *, batched: bool, seed: int = 0):
@@ -125,6 +195,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     records: list[dict] = []
+    kernel_n = 2048 if args.full else 512
+    kernel_speedup = bench_kernel(records, kernel_n, repeats=2 if args.full else 3)
     bench_emulate(records, 128, compare_scalar=True)
     bench_spgemm(records, 512, 0.05, compare_reference=True)
     if args.full:
@@ -154,6 +226,11 @@ def main(argv: list[str] | None = None) -> int:
         "mode": "full" if args.full else "smoke",
         "records": records,
         "speedups_vs_scalar": speedups,
+        "kernel_gate": {
+            "n": kernel_n,
+            "speedup": round(kernel_speedup, 2),
+            "min_speedup": KERNEL_MIN_SPEEDUP,
+        },
     }
     payload = json.dumps(artifact, indent=2)
     if args.out:

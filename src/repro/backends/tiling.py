@@ -1,7 +1,9 @@
 """Shared tiling/padding plan all dense backends execute against.
 
-Padding to 16×16 tiles is backend-independent policy: operands are cast to
-the accumulate dtype, padded along ``k`` with the ring's absorbing pair
+Padding to 16×16 tiles is backend-independent policy: operands are
+quantised to the ring's input format once, straight from the caller's
+dtype (as :func:`repro.core.ops.mmo` does), held in the accumulate dtype,
+padded along ``k`` with the ring's absorbing pair
 (``k_pad_a ⊗ k_pad_b == ⊕-identity``), the accumulator padded with the ⊕
 identity, and a degenerate ``k == 0`` turned into one fully-absorbed inner
 tile step.  Centralising the plan here keeps every backend's tile grid —
@@ -18,6 +20,7 @@ import numpy as np
 
 from repro.compile.artifact import grid_for
 from repro.compile.lower import resolve_opcode
+from repro.core.precision import quantize_input
 from repro.core.semiring import Semiring
 from repro.core.tiles import TILE, ceil_div, pad_to_tiles
 from repro.runtime.kernels import KernelStats
@@ -63,8 +66,13 @@ def plan_mmo(
     """
     m, k = a.shape
     n = b.shape[1]
-    a_pad = pad_to_tiles(a.astype(semiring.output_dtype), semiring.k_pad_a)
-    b_pad = pad_to_tiles(b.astype(semiring.output_dtype), semiring.k_pad_b)
+    # Quantise once: an fp32 cast before the fp16 one would round twice.
+    a_pad = pad_to_tiles(
+        quantize_input(a, semiring).astype(semiring.output_dtype), semiring.k_pad_a
+    )
+    b_pad = pad_to_tiles(
+        quantize_input(b, semiring).astype(semiring.output_dtype), semiring.k_pad_b
+    )
     c_full = (
         semiring.full((m, n)) if c is None else np.asarray(c, semiring.output_dtype)
     )

@@ -6,6 +6,25 @@ accumulation).  It plays the role the cuASR/CUTLASS "CUDA-core backend"
 plays in the paper's validation flow (Section 5.1): a reference every other
 backend — including the instruction-level emulator — must agree with.
 
+The kernel streams the inner dimension the way the SIMD² unit folds each
+inner tile step into its accumulator fragment (Figure 6).  Per block of
+output rows it ⊗-broadcasts the inner steps in chunks: the first chunk is
+⊕-reduced into an ``(rows, n)`` accumulator, and each product of a later
+chunk — one column of A ⊗ one row of B, a rank-1 update — is ⊕-ed into
+it in place.  On large launches a chunk is a single step.  Three
+properties follow:
+
+- **Fold order.**  Every output element is the left-to-right ⊕-fold of its
+  products from ``k = 0``, and ``C`` is ⊕-ed in last — bit-identical to
+  :func:`mmo_reference` on every ring, continuous floats included.
+- **Bounded temporaries.**  One element budget (``_BUDGET``) bounds both
+  the accumulator and a chunk of products, so they stay cache-resident
+  however large ``k`` grows.  A launch whose whole ``(m, k, n)`` product
+  fits the budget is one broadcast-and-reduce.
+- **Quantise once.**  Operands are quantised to the input format straight
+  from the caller's dtype.  Re-quantising an already-quantised operand
+  preserves it, so backends that pre-quantise (``plan_mmo``) agree too.
+
 Fast paths for GEMM (``A @ B``) and squared-L2 distance (the norm-expansion
 trick) are provided separately; they may differ from the generic path in the
 last float ulp because summation order differs, exactly as library GEMMs do.
@@ -21,8 +40,10 @@ from repro.core.registry import get_semiring
 
 __all__ = ["mmo", "mmo_reference", "gemm", "squared_l2_distance"]
 
-#: Row-block size bounding the (rows, k, n) intermediate of the generic path.
-_ROW_BLOCK = 64
+#: Element budget of the kernel's temporaries: the ``(rows, n)`` accumulator
+#: and one chunk of products.  With 2**17 fp32 elements, a large launch's
+#: accumulator and one-step chunk (1 MB together) fit a 2 MB L2.
+_BUDGET = 2**17
 
 
 def _validate_shapes(a: np.ndarray, b: np.ndarray, c: np.ndarray | None) -> tuple[int, int, int]:
@@ -37,6 +58,22 @@ def _validate_shapes(a: np.ndarray, b: np.ndarray, c: np.ndarray | None) -> tupl
     if c is not None and c.shape != (m, n):
         raise SemiringError(f"accumulator C has shape {c.shape}, expected {(m, n)}")
     return m, n, k
+
+
+def _blocking(m: int, n: int) -> tuple[int, int]:
+    """Rows per block and inner steps per ⊗ chunk, from the element budget.
+
+    The accumulator (``rows × n``) and one chunk of products (``steps ×
+    rows × n``) each stay within ``_BUDGET``, so a launch whose whole
+    product fits is one broadcast-and-reduce.  A one-lane block (``m == n
+    == 1``) takes one step per chunk: NumPy sums a longer one-lane
+    reduction pairwise, not left to right.
+    """
+    lanes = max(n, 1)
+    rows = max(1, min(m, _BUDGET // lanes))
+    if rows * n == 1:
+        return 1, 1
+    return rows, max(1, _BUDGET // (rows * lanes))
 
 
 def mmo(
@@ -69,23 +106,35 @@ def mmo(
     c_arr = None if c is None else np.asarray(c)
     m, n, k = _validate_shapes(a, b, c_arr)
 
-    a16 = quantize_input(a, ring).astype(ring.output_dtype)
-    b16 = quantize_input(b, ring).astype(ring.output_dtype)
-    if c_arr is None:
-        acc = ring.full((m, n))
-    else:
-        acc = quantize_output(c_arr, ring)
+    # (k, m): row kk is column kk of A, contiguous for the rank-1 steps.
+    a_cols = np.ascontiguousarray(quantize_input(a, ring).astype(ring.output_dtype).T)
+    b_rows = quantize_input(b, ring).astype(ring.output_dtype)
+    out = ring.full((m, n)) if c_arr is None else quantize_output(c_arr, ring)
+    rows, steps = _blocking(m, n)
+    in_place = isinstance(ring.oplus, np.ufunc)
 
-    out = np.empty((m, n), dtype=ring.output_dtype)
-    for start in range(0, m, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, m)
-        block = a16[start:stop]  # (r, k)
-        # (r, k, n) pairwise products, reduced along k in fp32.  Padded
-        # lanes may compute inf·0 = nan; those land only in padded outputs.
-        with np.errstate(invalid="ignore"):
-            products = ring.otimes(block[:, :, None], b16[None, :, :])
-        reduced = ring.reduce(np.asarray(products, dtype=ring.output_dtype), axis=1)
-        out[start:stop] = ring.combine(acc[start:stop], reduced)
+    # Padded lanes may compute inf·0 = nan; those land only in padded outputs.
+    with np.errstate(invalid="ignore"):
+        for start in range(0, m, rows):
+            cols = a_cols[:, start : start + rows]  # (k, r)
+            # The first chunk of inner steps is ⊕-reduced from its first
+            # product (along axis 0, so NumPy folds lane by lane, left to
+            # right); every later product is ⊕-ed into acc in k order.
+            acc = ring.reduce(
+                ring.otimes(cols[:steps, :, None], b_rows[:steps, None, :]), axis=0
+            )
+            if in_place and k > steps:  # ufunc ⊕, and an ⊗ that takes out=
+                chunk = np.empty((steps, *acc.shape), dtype=ring.output_dtype)
+            for kk in range(steps, k, steps):
+                a_k = cols[kk : kk + steps, :, None]
+                b_k = b_rows[kk : kk + steps, None, :]
+                if in_place:
+                    for product in ring.otimes(a_k, b_k, out=chunk[: len(a_k)]):
+                        ring.oplus(acc, product, out=acc)
+                else:  # the int8 variants' saturating wrappers
+                    for product in ring.otimes(a_k, b_k):
+                        acc = ring.oplus(acc, product)
+            out[start : start + rows] = ring.combine(out[start : start + rows], acc)
     return out
 
 

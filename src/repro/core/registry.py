@@ -36,9 +36,11 @@ __all__ = [
 ]
 
 
-def _squared_difference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    diff = np.subtract(a, b)
-    return np.multiply(diff, diff)
+def _squared_difference(
+    a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    diff = np.subtract(a, b, out=out)
+    return np.multiply(diff, diff, out=out)
 
 
 PLUS_MUL = Semiring(

@@ -42,7 +42,9 @@ class Semiring:
         Element-wise "multiplicative" pair operation, broadcastable over
         ndarrays.  For ``plus-norm`` this is the squared difference
         ``(a - b)**2`` — not associative, which is why the paper calls the
-        structure semiring-*like*.
+        structure semiring-*like*.  When ``oplus`` is a NumPy ufunc,
+        ``otimes`` must also take an ``out=`` buffer, as ufuncs do: the
+        streaming kernel of :func:`repro.core.ops.mmo` folds in place.
     oplus_identity:
         Identity of ``⊕``: padding tiles with this value leaves results
         unchanged (``+inf`` for min-rings, ``-inf`` for max-rings, ``0``

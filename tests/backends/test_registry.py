@@ -16,8 +16,9 @@ from repro.backends import (
 )
 from repro.backends.base import _REGISTRY
 from repro.backends.sparse import identity_absorbs
-from repro.core import SEMIRINGS
+from repro.core import SEMIRINGS, mmo
 from repro.hw.device import Simd2Device
+from repro.resilience import checked_mmo
 from repro.runtime import (
     HostRuntime,
     RuntimeError_,
@@ -199,3 +200,31 @@ class TestSparseBackendClassification:
         for backend in ("vectorized", "emulate"):
             _, stats = mmo_tiled("plus-mul", a, b, backend=backend)
             assert stats.spgemm is None
+
+
+class TestQuantiseOnce:
+    """Every backend rounds float64 operands to fp16 once, like core mmo.
+
+    ``1 + 2**-11`` is the midpoint between two fp16 values, so an fp32
+    cast first (which drops the ``2**-40``) makes the fp16 cast round down
+    to 1.0, while a direct fp16 cast rounds up to ``1 + 2**-10``.
+    """
+
+    X = 1 + 2**-11 + 2**-40
+
+    @pytest.mark.parametrize("backend", list_backends())
+    def test_backend_matches_core_mmo(self, backend):
+        a = np.full((3, 4), self.X)
+        b = np.full((4, 5), self.X)
+        c = np.full((3, 5), 3.0)
+        d, _ = mmo_tiled("min-plus", a, b, c, backend=backend)
+        np.testing.assert_array_equal(d, mmo("min-plus", a, b, c))
+        assert d[0, 0] == np.float32(2 * (1 + 2**-10))
+
+    @pytest.mark.parametrize("backend", list_backends())
+    def test_checked_mmo_verifies(self, backend):
+        a = np.full((3, 4), self.X)
+        b = np.full((4, 5), self.X)
+        with use_context(backend=backend) as ctx:
+            d, _ = checked_mmo("min-plus", a, b, context=ctx)
+        np.testing.assert_array_equal(d, mmo("min-plus", a, b))

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import SemiringError, get_semiring, mmo
+from repro.core import SEMIRINGS, SemiringError, get_semiring, mmo, ops
 from repro.core.ops import gemm, mmo_reference, squared_l2_distance
+from repro.core.quantized import int8_variant
 from tests.conftest import make_ring_inputs
 
 
@@ -117,11 +118,67 @@ class TestFastPaths:
 
 
 class TestBlockedPathConsistency:
-    def test_row_blocking_has_no_seams(self, rng):
-        # More rows than the internal row block: results must be identical
-        # to the scalar reference at every row, including block boundaries.
+    def test_row_blocking_has_no_seams(self, rng, monkeypatch):
+        # A budget of 64 elements gives 16-row blocks: results must be
+        # identical to the scalar reference at every row, including the
+        # block boundary at row 64.
+        monkeypatch.setattr(ops, "_BUDGET", 64)
         a = rng.integers(-3, 4, (130, 5)).astype(np.float64)
         b = rng.integers(-3, 4, (5, 4)).astype(np.float64)
         got = mmo("min-plus", a, b)
         ref = mmo_reference("min-plus", a[60:70], b)
         np.testing.assert_array_equal(got[60:70], ref)
+
+
+#: The nine rings plus the int8 variants, whose ⊕/⊗ are not ufuncs.
+FOLD_RINGS = [*sorted(SEMIRINGS), "plus-mul-int8", "min-plus-int8"]
+
+#: With a 32-element budget: (13, 17, 5) runs row blocks of 6, 6 and 1
+#: rows in 1-step chunks; (3, 41, 5) one block in 2-step chunks, the last
+#: one partial; (6, 40, 1) 5-step chunks of one column.  With the default
+#: budget every shape here is one broadcast-and-reduce.
+FOLD_SHAPES = [
+    (13, 17, 5),
+    (3, 41, 5),
+    (1, 40, 9),
+    (6, 40, 1),
+    (1, 40, 1),
+    (4, 0, 3),
+    (0, 5, 3),
+    (4, 5, 0),
+]
+
+
+def _fold_case(name, m, k, n):
+    """The ring and ``A, B, C``: continuous floats with ±inf sentinels.
+
+    Continuous values make the fold order show in the rounding.  The
+    rings whose ⊕ identity is ±inf get it as a "no edge" sentinel, which
+    their int8 variants saturate.
+    """
+    base = SEMIRINGS[name.removesuffix("-int8")]
+    ring = base if name in SEMIRINGS else int8_variant(base)
+    rng = np.random.default_rng([m, k, n])
+    if ring.is_boolean():
+        return ring, rng.random((m, k)) < 0.4, rng.random((k, n)) < 0.4, rng.random((m, n)) < 0.2
+    scale = 4.0 if name in SEMIRINGS else 20.0
+    a, b, c = (rng.uniform(-scale, scale, shape) for shape in ((m, k), (k, n), (m, n)))
+    if np.isinf(base.oplus_identity):
+        a[rng.random((m, k)) < 0.25] = base.oplus_identity
+        b[rng.random((k, n)) < 0.25] = base.oplus_identity
+    return ring, a, b, c
+
+
+class TestKernelFoldOrder:
+    """The streaming kernel gives the reference's left-to-right fold, bit for bit."""
+
+    @pytest.mark.parametrize("budget", [32, ops._BUDGET])
+    @pytest.mark.parametrize("shape", FOLD_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    @pytest.mark.parametrize("name", FOLD_RINGS)
+    def test_matches_reference(self, name, shape, budget, monkeypatch):
+        monkeypatch.setattr(ops, "_BUDGET", budget)
+        ring, a, b, c = _fold_case(name, *shape)
+        for acc in (None, c):
+            got = mmo(ring, a, b, acc)
+            assert got.dtype == ring.output_dtype
+            np.testing.assert_array_equal(got, mmo_reference(ring, a, b, acc))
