@@ -82,7 +82,7 @@ csv:
 examples:
 	@for script in examples/*.py; do \
 		echo "== $$script =="; \
-		python $$script || exit 1; \
+		PYTHONPATH=src python $$script || exit 1; \
 	done
 
 all: install test bench tables

@@ -40,8 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.backends import get_backend, list_backends
-from repro.backends.tiling import resolve_opcode
-from repro.compile import PlanCache
+from repro.compile import PlanCache, compile_mmo, resolve_opcode
 from repro.core import SEMIRINGS
 from repro.runtime import ExecutionContext, mmo_tiled
 
@@ -138,12 +137,21 @@ def dispatch_overhead(records: list[dict]) -> None:
     opcode = resolve_opcode("plus-mul")
     context = ExecutionContext()
 
+    def direct_call(a, b):
+        # The backend call alone: compile through the context's cache,
+        # then execute — no context resolution, registry lookup or hooks.
+        m, k = a.shape
+        compiled, _ = compile_mmo(
+            opcode, m, b.shape[1], k, has_accumulator=False, context=context
+        )
+        return impl.execute(compiled, a, b, None, context=context)
+
     # (1) Per-call dispatch overhead, measured where it is measurable.
     ta, tb = _operands(ring, 16, 16, 16, seed=5)
-    impl.run_mmo(opcode, ta, tb, None, context=context)  # warm lazy imports
+    direct_call(ta, tb)  # warm lazy imports
     mmo_tiled("plus-mul", ta, tb)
     tiny_direct, tiny_context = _interleaved_mins(
-        lambda: impl.run_mmo(opcode, ta, tb, None, context=context),
+        lambda: direct_call(ta, tb),
         lambda: mmo_tiled("plus-mul", ta, tb),
         TINY_REPEATS,
     )
@@ -153,7 +161,7 @@ def dispatch_overhead(records: list[dict]) -> None:
     n = DISPATCH_N
     a, b = _operands(ring, n, n, n, seed=17)
     direct, dispatched = _interleaved_mins(
-        lambda: impl.run_mmo(opcode, a, b, None, context=context),
+        lambda: direct_call(a, b),
         lambda: mmo_tiled("plus-mul", a, b),
         DISPATCH_REPEATS,
     )
@@ -217,7 +225,7 @@ def hooks_overhead(records: list[dict]) -> None:
 
     # (1) Per-call pipeline overhead, measured where it is measurable.
     tiny, _ = compile_in_context(
-        context, impl, opcode, 16, 16, 16, has_accumulator=False
+        context, opcode, 16, 16, 16, has_accumulator=False
     )
     impl.execute(tiny, probe_a, probe_b, None, context=context)  # warm
     execute_compiled(tiny, probe_a, probe_b, context=context)
@@ -232,7 +240,7 @@ def hooks_overhead(records: list[dict]) -> None:
     n = DISPATCH_N
     a, b = _operands(ring, n, n, n, seed=23)
     compiled, _ = compile_in_context(
-        context, impl, opcode, n, n, n, has_accumulator=False
+        context, opcode, n, n, n, has_accumulator=False
     )
     direct, piped = _interleaved_mins(
         lambda: impl.execute(compiled, a, b, None, context=context),

@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.compile.lower import build_tile_mmo_program
 from repro.core import TILE
 from repro.hw import SharedMemory, Simd2Device, WarpExecutor
 from repro.isa import (
@@ -25,7 +26,6 @@ from repro.isa import (
 from repro.isa.optimizer import optimize_program
 from repro.isa.verifier import verify_program
 from repro.runtime import mmo_tiled
-from repro.runtime.kernels import build_tile_mmo_program
 
 
 @pytest.fixture(scope="module")

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.compile.lower import build_tile_mmo_program
 from repro.core import SemiringMatrix
 from repro.datasets import GraphSpec, distance_graph
 from repro.hw import ExecutionTrace, SharedMemory, WarpExecutor
 from repro.isa import ElementType, MmoOpcode, verify_program
 from repro.runtime import Trace, closure, use_context
-from repro.runtime.kernels import build_tile_mmo_program
 from repro.sparse import CsrMatrix, sparse_closure
 
 

@@ -9,7 +9,7 @@ unit test pins down because they are conventions spanning many files:
   hand-appends records resurrects exactly the seam drift the pipeline
   refactor removed;
 - **launch-bracketing** — every runtime function that invokes a backend
-  (``.execute`` / ``.run_mmo``) must bracket the call with the pipeline's
+  (``.execute``) must bracket the call with the pipeline's
   ``begin_launch``/``finish_launch``, so no dispatch path escapes
   validation, fault injection or tracing;
 - **raw-matmul** — backends and the sparse tier may not use raw numpy
@@ -176,19 +176,19 @@ class TraceWriteRule(Rule):
 class LaunchBracketRule(Rule):
     """Backend invocations in the runtime go through the hook pipeline.
 
-    A function under ``repro/runtime/`` that calls ``.execute(...)`` or
-    ``.run_mmo(...)`` must also call ``begin_launch`` and
-    ``finish_launch`` — otherwise that dispatch path skips validation,
-    fault injection and trace recording for every launch it issues.
+    A function under ``repro/runtime/`` that calls ``.execute(...)`` must
+    also call ``begin_launch`` and ``finish_launch`` — otherwise that
+    dispatch path skips validation, fault injection and trace recording
+    for every launch it issues.
     """
 
     name = "launch-bracketing"
     description = (
-        "runtime functions calling backend .execute/.run_mmo also call "
+        "runtime functions calling backend .execute also call "
         "pipeline begin_launch and finish_launch"
     )
 
-    _BACKEND_CALLS = frozenset({"execute", "run_mmo"})
+    _BACKEND_CALLS = frozenset({"execute"})
 
     def applies_to(self, relpath: str) -> bool:
         return relpath.startswith("repro/runtime/")

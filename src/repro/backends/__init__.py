@@ -26,7 +26,6 @@ from repro.backends.base import (
     Backend,
     BackendCapabilities,
     BackendError,
-    MmoBackend,
     capabilities_of,
     capable_backends,
     check_backend_capability,
@@ -39,7 +38,6 @@ __all__ = [
     "Backend",
     "BackendCapabilities",
     "BackendError",
-    "MmoBackend",
     "capabilities_of",
     "capable_backends",
     "check_backend_capability",

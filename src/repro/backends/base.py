@@ -3,17 +3,14 @@
 The paper's point (Sections 5.1, 6.6) is that one ``D = C ⊕ (A ⊗ B)``
 abstraction serves many execution substrates — CUDA cores, SIMD² units,
 sparse spGEMM datapaths.  This module is that abstraction's seam, and it
-is split the way the paper's programming model is: a backend **compiles**
-a launch shape into an immutable :class:`~repro.compile.artifact
-.CompiledMmo` once, then **executes** that artifact against any number of
-validated operand sets.  Every runtime entry point reaches the backend
-through :func:`get_backend`, compiles through the context's
-:class:`~repro.compile.cache.PlanCache`, and replays the artifact — so a
-closure loop relaunching one shape lowers its warp program exactly once.
-
-``run_mmo`` survives as a thin compile-then-execute compat shim (both on
-:class:`MmoBackend` for built-ins and as the fallback the dispatch layer
-uses for legacy backends that registered only ``run_mmo``).
+is split the way the paper's programming model is: the compile layer
+(:func:`repro.compile.lower.compile_mmo`) lowers a launch shape into one
+immutable :class:`~repro.compile.artifact.CompiledMmo`, and a backend
+only **executes** that artifact against validated operands.  Every
+runtime entry point reaches the backend through :func:`get_backend`,
+compiles through the context's :class:`~repro.compile.cache.PlanCache`,
+and replays the artifact — so a closure loop relaunching one shape lowers
+its warp program exactly once, whichever backends run it.
 
 Built-in backends (``vectorized``, ``emulate``, ``sparse``) are imported
 lazily on first registry access to keep ``import repro`` cheap and the
@@ -33,7 +30,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
     from repro.compile.artifact import CompiledMmo
     from repro.core.semiring import Semiring
-    from repro.isa.opcodes import MmoOpcode
     from repro.runtime.context import ExecutionContext
     from repro.runtime.kernels import KernelStats
 
@@ -41,7 +37,6 @@ __all__ = [
     "Backend",
     "BackendCapabilities",
     "BackendError",
-    "MmoBackend",
     "capabilities_of",
     "capable_backends",
     "check_backend_capability",
@@ -157,32 +152,22 @@ def check_backend_capability(
 
 @runtime_checkable
 class Backend(Protocol):
-    """One way of executing a whole-matrix mmo, split compile/execute.
+    """One way of executing a whole-matrix mmo.
 
-    ``compile`` receives a launch shape and returns the immutable
-    artifact; ``execute`` receives the artifact plus operands that the
-    dispatch layer has already validated (2-D, inner dimensions matching,
-    ``C`` of shape ``(m, n)`` when present, ``m > 0`` and ``n > 0``, tile
-    grid matching the artifact) and must return the ``(m, n)`` result in
-    the ring's output dtype together with the launch's
-    :class:`~repro.runtime.kernels.KernelStats`.  ``run_mmo`` is the
-    single-shot compat path (compile + execute in one call); backends
-    that only provide ``run_mmo`` still dispatch, bypassing the plan
-    cache.
+    A backend is a ``name``, its ``capabilities`` and ``execute``, which
+    receives the artifact :func:`repro.compile.lower.compile_mmo`
+    lowered (the same for every backend, each consuming the parts it
+    needs) plus operands that the dispatch layer has already validated
+    (2-D, inner dimensions matching, ``C`` of shape ``(m, n)`` when
+    present, ``m > 0`` and ``n > 0``, tile grid matching the artifact)
+    and must return the ``(m, n)`` result in the ring's output dtype
+    together with the launch's :class:`~repro.runtime.kernels
+    .KernelStats`.  ``capabilities`` is optional: a backend that
+    declares none claims every launch.
     """
 
     name: str
-
-    def compile(
-        self,
-        opcode: "MmoOpcode",
-        m: int,
-        n: int,
-        k: int,
-        *,
-        has_accumulator: bool,
-        context: "ExecutionContext | None",
-    ) -> "CompiledMmo": ...
+    capabilities: BackendCapabilities
 
     def execute(
         self,
@@ -193,80 +178,6 @@ class Backend(Protocol):
         *,
         context: "ExecutionContext",
     ) -> "tuple[np.ndarray, KernelStats]": ...
-
-    def run_mmo(
-        self,
-        opcode: "MmoOpcode",
-        a: "np.ndarray",
-        b: "np.ndarray",
-        c: "np.ndarray | None",
-        *,
-        context: "ExecutionContext",
-    ) -> "tuple[np.ndarray, KernelStats]": ...
-
-
-class MmoBackend:
-    """Concrete base for backends: default lowering + the run_mmo shim.
-
-    Subclasses implement ``execute``; ``compile`` defaults to the shared
-    :func:`repro.compile.lower.lower_mmo` lowering (the artifact is
-    backend-agnostic — it carries the tile grid, the optimised warp
-    program, and the shared-memory layout, and each backend consumes the
-    parts it needs), and ``run_mmo`` is kept as the thin compat shim:
-    compile through the context's plan cache, then execute.
-    """
-
-    name: str = ""
-
-    def compile(
-        self,
-        opcode: "MmoOpcode",
-        m: int,
-        n: int,
-        k: int,
-        *,
-        has_accumulator: bool,
-        context: "ExecutionContext | None" = None,
-    ) -> "CompiledMmo":
-        from repro.compile.artifact import grid_for
-        from repro.compile.lower import lower_mmo
-
-        tiles_m, tiles_n, tiles_k = grid_for(m, n, k)
-        return lower_mmo(
-            opcode, tiles_m, tiles_n, tiles_k, has_accumulator=has_accumulator
-        )
-
-    def execute(
-        self,
-        compiled: "CompiledMmo",
-        a: "np.ndarray",
-        b: "np.ndarray",
-        c: "np.ndarray | None",
-        *,
-        context: "ExecutionContext",
-    ) -> "tuple[np.ndarray, KernelStats]":
-        raise NotImplementedError(
-            f"backend {self.name!r} must implement execute()"
-        )
-
-    def run_mmo(
-        self,
-        opcode: "MmoOpcode",
-        a: "np.ndarray",
-        b: "np.ndarray",
-        c: "np.ndarray | None",
-        *,
-        context: "ExecutionContext",
-    ) -> "tuple[np.ndarray, KernelStats]":
-        from repro.compile.lower import compile_mmo
-
-        m, k = a.shape
-        n = b.shape[1]
-        compiled, _ = compile_mmo(
-            self, opcode, m, n, k,
-            has_accumulator=c is not None, context=context,
-        )
-        return self.execute(compiled, a, b, c, context=context)
 
 
 _REGISTRY: dict[str, Backend] = {}
@@ -289,6 +200,10 @@ def register_backend(backend: Backend, *, replace: bool = False) -> Backend:
     if not isinstance(name, str) or not name:
         raise BackendError(
             f"backend {backend!r} must expose a non-empty string 'name'"
+        )
+    if not callable(getattr(backend, "execute", None)):
+        raise BackendError(
+            f"backend {name!r} must implement an 'execute' method"
         )
     if name in _REGISTRY and not replace:
         raise BackendError(

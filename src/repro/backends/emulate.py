@@ -10,9 +10,8 @@ cross-checked against the static tiling prediction, the paper's
 statistics validation between its two emulation backends (Section 5.1).
 
 The device comes from the execution context; when the context carries
-none, a default 4-SM device is created once per ``parallel`` flavour and
-reused across launches (honouring the context's ``parallel`` flag)
-instead of being reconstructed per launch.
+none, one default 4-SM device is created on first use and reused across
+launches instead of being reconstructed per launch.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.backends.base import BackendCapabilities, MmoBackend, register_backend
+from repro.backends.base import BackendCapabilities, register_backend
 from repro.backends.tiling import plan_mmo
 from repro.compile.artifact import CompiledMmo
 from repro.core.tiles import TILE, crop
@@ -58,7 +57,7 @@ def _check_emulation_parity(stats: KernelStats) -> None:
         )
 
 
-class EmulateBackend(MmoBackend):
+class EmulateBackend:
     """Whole-matrix mmo through per-tile warp programs on emulated SMs."""
 
     name = "emulate"
@@ -68,20 +67,14 @@ class EmulateBackend(MmoBackend):
     capabilities = BackendCapabilities(density_preference="dense", thread_safe=False)
 
     def __init__(self) -> None:
-        # Default devices, one per `parallel` flavour, created lazily on
-        # the first context that carries no device and reused for every
-        # such launch afterwards.
-        self._default_devices: dict[bool, Simd2Device] = {}
+        self._default_device: Simd2Device | None = None
 
     def _device_for(self, context: ExecutionContext) -> Simd2Device:
         if context.device is not None:
             return context.device
-        parallel = bool(context.parallel)
-        device = self._default_devices.get(parallel)
-        if device is None:
-            device = Simd2Device(sm_count=4, parallel=parallel)
-            self._default_devices[parallel] = device
-        return device
+        if self._default_device is None:
+            self._default_device = Simd2Device(sm_count=4)
+        return self._default_device
 
     def execute(
         self,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends.base import BackendCapabilities, MmoBackend, register_backend
+from repro.backends.base import BackendCapabilities, register_backend
 from repro.compile.artifact import CompiledMmo
 from repro.core.precision import quantize_input, quantize_output
 from repro.core.semiring import Semiring
@@ -85,7 +85,7 @@ def absorbing_rings() -> frozenset[str]:
     return frozenset(names)
 
 
-class SparseBackend(MmoBackend):
+class SparseBackend:
     """Whole-matrix mmo as CSR × CSR spGEMM plus a dense ⊕ with C.
 
     Consumes only the opcode and tile grid of the compiled artifact —

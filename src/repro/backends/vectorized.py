@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backends.base import BackendCapabilities, MmoBackend, register_backend
+from repro.backends.base import BackendCapabilities, register_backend
 from repro.backends.tiling import plan_mmo
 from repro.compile.artifact import CompiledMmo
 from repro.core import ops as core_ops
@@ -25,7 +25,7 @@ from repro.runtime.kernels import KernelStats
 __all__ = ["VectorizedBackend"]
 
 
-class VectorizedBackend(MmoBackend):
+class VectorizedBackend:
     """Whole-matrix mmo on the padded plan via :func:`repro.core.ops.mmo`."""
 
     name = "vectorized"

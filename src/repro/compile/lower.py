@@ -1,11 +1,11 @@
 """Lowering: tile grid → optimised warp program + shared-memory layout.
 
 This is the compile half of the compile/execute split.  It owns the
-Figure-6 program generator (:func:`build_tile_mmo_program`, historically
-in ``repro.runtime.kernels``), runs every generated program through the
-peephole optimiser, and packages the result as an immutable
-:class:`~repro.compile.artifact.CompiledMmo`.  :func:`compile_mmo` is the
-cached front door the dispatch layer uses.
+Figure-6 program generator (:func:`build_tile_mmo_program`), runs every
+generated program through the peephole optimiser, and packages the result
+as an immutable :class:`~repro.compile.artifact.CompiledMmo`.
+:func:`compile_mmo` is the cached front door the dispatch layer uses; it
+is the only lowering, since the artifact is the same for every backend.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from repro.isa.program import Program
 from repro.isa.verifier import VerificationReport, verify_program
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.backends.base import Backend
     from repro.runtime.context import ExecutionContext
 
 # NOTE: nothing in repro.compile may import repro.runtime (or
@@ -199,7 +198,6 @@ def plan_key_for(
 
 
 def compile_mmo(
-    backend: "Backend",
     opcode: MmoOpcode,
     m: int,
     n: int,
@@ -213,9 +211,11 @@ def compile_mmo(
 
     Resolves the cache — explicit ``cache`` argument, then the context's
     ``plan_cache``, then the process-wide default — and memoizes
-    ``backend.compile(...)`` under the launch's :class:`PlanKey`.
-    Returns ``(artifact, cache_hit)``; the dispatch layer records the hit
-    flag on the launch's trace record.
+    :func:`lower_mmo` of the launch's tile grid under its
+    :class:`PlanKey`.  The key names no backend: one artifact serves
+    every backend that executes the shape.  Returns ``(artifact,
+    cache_hit)``; the dispatch layer records the hit flag on the
+    launch's trace record.
     """
     if cache is None:
         ctx_cache = None if context is None else context.plan_cache
@@ -223,7 +223,8 @@ def compile_mmo(
     key = plan_key_for(opcode, m, n, k, has_accumulator=has_accumulator)
     return cache.get_or_compile(
         key,
-        lambda: backend.compile(
-            opcode, m, n, k, has_accumulator=has_accumulator, context=context
+        lambda: lower_mmo(
+            opcode, key.tiles_m, key.tiles_n, key.tiles_k,
+            has_accumulator=has_accumulator,
         ),
     )

@@ -10,7 +10,6 @@ instruction counts and the timing model converts into cycles.
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
 
 import numpy as np
@@ -41,7 +40,6 @@ class Simd2Device:
         sm_count: int = 4,
         baseline_only: bool = False,
         batched_mmo: bool = True,
-        parallel: bool = False,
     ):
         if sm_count <= 0:
             raise HardwareError(f"sm_count must be positive, got {sm_count}")
@@ -54,10 +52,6 @@ class Simd2Device:
         self.global_memory: dict[str, np.ndarray] = {}
         self.stats = ExecutionStats()
         self.kernel_launches = 0
-        #: When True, :meth:`launch` fans work items across one worker
-        #: thread per SM instead of running them serially.  The SM
-        #: assignment and statistics stay deterministic (see launch()).
-        self.parallel = bool(parallel)
 
     # ------------------------------------------------------------------
     # global-memory management (cudaMalloc / cudaMemcpy analogues)
@@ -99,57 +93,17 @@ class Simd2Device:
     # kernel dispatch
     # ------------------------------------------------------------------
     def launch(self, work_items: list[WarpWorkItem]) -> ExecutionStats:
-        """Run a kernel: dispatch warps across SMs round-robin.
-
-        With ``parallel=True`` each SM's bucket of work items runs on its
-        own worker thread.  The warp→SM mapping (``index % sm_count``), the
-        serial order within each SM, and the statistics merge order (work-
-        item submission order) are all identical to the serial path, so
-        results and aggregate counters are deterministic either way.
-        """
-        if self.parallel and len(self.sms) > 1 and len(work_items) > 1:
-            per_item = self._launch_parallel(work_items)
-        else:
-            per_item = [
+        """Run a kernel: dispatch warps across SMs round-robin."""
+        launch_stats = ExecutionStats()
+        for index, item in enumerate(work_items):
+            launch_stats.merge(
                 self.sms[index % len(self.sms)].execute_warp(
                     item.program, item.shared_memory
                 )
-                for index, item in enumerate(work_items)
-            ]
-        launch_stats = ExecutionStats()
-        for warp_stats in per_item:
-            launch_stats.merge(warp_stats)
+            )
         self.stats.merge(launch_stats)
         self.kernel_launches += 1
         return launch_stats
-
-    def _launch_parallel(self, work_items: list[WarpWorkItem]) -> list[ExecutionStats]:
-        """One worker thread per SM; returns per-item stats in launch order.
-
-        Work items touch disjoint scratchpads and each SM (with its units)
-        is driven by exactly one thread, so there is no shared mutable
-        state across workers.
-        """
-        per_item: list[ExecutionStats | None] = [None] * len(work_items)
-        buckets: list[list[tuple[int, WarpWorkItem]]] = [[] for _ in self.sms]
-        for index, item in enumerate(work_items):
-            buckets[index % len(self.sms)].append((index, item))
-
-        def run_bucket(sm: StreamingMultiprocessor, bucket) -> None:
-            for index, item in bucket:
-                per_item[index] = sm.execute_warp(item.program, item.shared_memory)
-
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=len(self.sms)
-        ) as pool:
-            futures = [
-                pool.submit(run_bucket, sm, bucket)
-                for sm, bucket in zip(self.sms, buckets)
-                if bucket
-            ]
-            for future in futures:
-                future.result()
-        return per_item  # type: ignore[return-value]
 
     # ------------------------------------------------------------------
     @property

@@ -6,7 +6,7 @@ how well the SIMD² units' latency is hidden.  This module computes the
 classic occupancy calculation for tile kernels:
 
 - shared memory per warp: operand panels + C/D tiles (exactly what
-  :func:`repro.runtime.kernels.build_tile_mmo_program` stages),
+  :func:`repro.compile.lower.build_tile_mmo_program` stages),
 - matrix registers per warp: what the program actually uses,
 
 against an SM budget, and reports the limiting resource.  The timing

@@ -28,12 +28,7 @@ from __future__ import annotations
 import dataclasses
 from typing import TYPE_CHECKING
 
-from repro.backends.base import (
-    BackendCapabilities,
-    MmoBackend,
-    get_backend,
-    register_backend,
-)
+from repro.backends.base import BackendCapabilities, get_backend, register_backend
 from repro.sparse.density import estimate_density
 
 from repro.plan.autotune import default_autotune_table
@@ -50,7 +45,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["AutoBackend"]
 
 
-class AutoBackend(MmoBackend):
+class AutoBackend:
     """Plan, then delegate: the registry face of :class:`Planner`.
 
     Capabilities are permissive — per-launch capability filtering is the

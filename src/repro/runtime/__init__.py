@@ -11,7 +11,6 @@ from repro.runtime.trace import LaunchRecord, ResilienceEvent, Trace, TraceSumma
 from repro.runtime.kernels import (
     KernelStats,
     OperandValidationError,
-    build_tile_mmo_program,
     execute_compiled,
     mmo_tiled,
     mmo_tiled_split_k,
@@ -41,7 +40,6 @@ __all__ = [
     "TraceSummary",
     "KernelStats",
     "OperandValidationError",
-    "build_tile_mmo_program",
     "execute_compiled",
     "mmo_tiled",
     "mmo_tiled_split_k",

@@ -1,10 +1,10 @@
 """Ambient execution configuration: one object instead of loose keywords.
 
 Every dispatch decision the runtime used to thread by hand — which backend
-runs the mmo, which emulated device it runs on, whether the device fans
-warps across threads, where launch records go — lives in one immutable
-:class:`ExecutionContext`.  A context variable supplies the ambient
-default, so the three ways of configuring a run compose cleanly:
+runs the mmo, which emulated device it runs on, where launch records go —
+lives in one immutable :class:`ExecutionContext`.  A context variable
+supplies the ambient default, so the three ways of configuring a run
+compose cleanly:
 
 - **ambient**: ``with use_context(backend="sparse"): apsp(graph)`` — every
   launch underneath routes through the sparse backend, no signature
@@ -62,9 +62,6 @@ class ExecutionContext:
         not emulate hardware ignore it, so it is always safe to carry —
         this replaces the per-call-site "pass the device only when
         emulating" branching the runtime used to copy around.
-    parallel:
-        When a backend has to create a device on the fly, fan warps
-        across one worker thread per SM.
     trace:
         Optional :class:`~repro.runtime.trace.Trace` sink; when set,
         every launch under this context appends a ``LaunchRecord``.
@@ -140,7 +137,6 @@ class ExecutionContext:
 
     backend: str = "vectorized"
     device: "Simd2Device | None" = None
-    parallel: bool = False
     trace: "Trace | None" = None
     plan_cache: "PlanCache | None" = None
     fault_plan: "FaultPlan | None" = None
@@ -202,24 +198,14 @@ def resolve_context(
     *,
     backend: str | None = None,
     device: "Simd2Device | None" = None,
-    parallel: bool | None = None,
-    trace: "Trace | None" = None,
-    plan_cache: "PlanCache | None" = None,
-    fault_plan: "FaultPlan | None" = None,
-    hooks: "tuple[Hook | str, ...] | None" = None,
-    autotune: "AutotuneTable | None" = None,
-    scheduler: "Scheduler | None" = None,
-    clock: "Clock | None" = None,
-    budget: "ExecutionBudget | None" = None,
-    cancel: "CancellationToken | None" = None,
-    breakers: "BreakerBoard | None" = None,
 ) -> ExecutionContext:
     """Fold legacy keywords over a base context and validate the backend.
 
-    ``context`` defaults to the ambient context; each non-``None`` keyword
-    overrides the corresponding field.  This is the single place the
-    runtime entry points turn their keyword shims into a context, so the
-    backend name is checked exactly once per call, up front.
+    ``context`` defaults to the ambient context; a non-``None``
+    ``backend`` or ``device`` overrides the corresponding field.  This is
+    the single place the runtime entry points turn their keyword shims
+    into a context, so the backend name is checked exactly once per call,
+    up front.
     """
     resolved = context if context is not None else default_context()
     overrides: dict[str, object] = {}
@@ -227,28 +213,6 @@ def resolve_context(
         overrides["backend"] = backend
     if device is not None:
         overrides["device"] = device
-    if parallel is not None:
-        overrides["parallel"] = parallel
-    if trace is not None:
-        overrides["trace"] = trace
-    if plan_cache is not None:
-        overrides["plan_cache"] = plan_cache
-    if fault_plan is not None:
-        overrides["fault_plan"] = fault_plan
-    if hooks is not None:
-        overrides["hooks"] = tuple(hooks)
-    if autotune is not None:
-        overrides["autotune"] = autotune
-    if scheduler is not None:
-        overrides["scheduler"] = scheduler
-    if clock is not None:
-        overrides["clock"] = clock
-    if budget is not None:
-        overrides["budget"] = budget
-    if cancel is not None:
-        overrides["cancel"] = cancel
-    if breakers is not None:
-        overrides["breakers"] = breakers
     if overrides:
         resolved = dataclasses.replace(resolved, **overrides)
     _validate_backend(resolved.backend)

@@ -31,8 +31,8 @@ validation, fault injection, trace recording (including whether the plan
 cache hit and what the optimiser removed) — runs through the context's
 :class:`~repro.hooks.pipeline.HookPipeline`: the compile step is
 bracketed by ``pre_compile``/``post_compile`` hooks and the backend call
-by ``pre_execute``/``post_execute`` hooks, identically on the
-:func:`mmo_tiled` and :func:`execute_compiled` paths.  Loop-shaped entry
+by ``pre_execute``/``post_execute`` hooks, in one launch body that
+:func:`mmo_tiled` and :func:`execute_compiled` share.  Loop-shaped entry
 points (:func:`~repro.runtime.closure.closure`, batched, split-k,
 multi-device, :class:`~repro.runtime.host.HostRuntime`) compile once up
 front and replay the artifact per iteration via :func:`execute_compiled`.
@@ -45,7 +45,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.compile.lower import build_tile_mmo_program  # noqa: F401 - compat re-export
 from repro.compile.lower import compile_mmo, resolve_opcode
 from repro.core.registry import get_semiring
 from repro.core.semiring import Semiring
@@ -65,7 +64,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "KernelStats",
     "OperandValidationError",
-    "build_tile_mmo_program",
     "compile_in_context",
     "execute_compiled",
     "mmo_tiled",
@@ -157,7 +155,6 @@ class KernelStats:
 
 def compile_in_context(
     ctx: ExecutionContext,
-    impl: "Backend",
     opcode: MmoOpcode,
     m: int,
     n: int,
@@ -177,7 +174,7 @@ def compile_in_context(
     pipeline = ctx.pipeline
     pipeline.pre_compile(ctx, api, opcode, m, n, k, has_accumulator)
     compiled, cache_hit = compile_mmo(
-        impl, opcode, m, n, k, has_accumulator=has_accumulator, context=ctx
+        opcode, m, n, k, has_accumulator=has_accumulator, context=ctx
     )
     pipeline.post_compile(ctx, api, compiled, cache_hit)
     return compiled, cache_hit
@@ -255,17 +252,6 @@ def _degenerate_result(
         semiring.full((m, n)) if c is None else np.asarray(c, semiring.output_dtype)
     )
     return empty, KernelStats(m, n, k, 0, 0, ceil_div(k, TILE) if k else 1)
-
-
-def _supports_compile(impl: "Backend") -> bool:
-    """Whether a backend implements the compile/execute split.
-
-    Legacy backends that registered only ``run_mmo`` keep dispatching
-    through the single-shot path (no plan cache, no artifact replay).
-    """
-    return callable(getattr(impl, "compile", None)) and callable(
-        getattr(impl, "execute", None)
-    )
 
 
 def _apply_selection(
@@ -355,6 +341,81 @@ def _note_plan_densities(
     launch.notes["plan_densities"] = densities
 
 
+def _launch(
+    ctx: ExecutionContext,
+    opcode: MmoOpcode,
+    compiled: "CompiledMmo | None",
+    a: np.ndarray,
+    b: np.ndarray,
+    c: np.ndarray | None,
+    *,
+    api: str,
+    cache_hit: bool | None,
+    validate_inputs: bool,
+    fault_ordinal: int | None,
+) -> tuple[np.ndarray, KernelStats]:
+    """The launch body :func:`mmo_tiled` and :func:`execute_compiled` share.
+
+    Checks the backend's declared capabilities before anything else, so
+    a violation fails on every input, empty outputs included (a planning
+    backend selects per launch instead).  Then: the empty-output fast
+    path, the planning backend's selection, the compile when no
+    artifact was given, and the one backend call bracketed by the
+    pipeline's ``begin_launch``/``finish_launch``.
+    """
+    from repro.backends.base import (  # lazy: backends import us
+        check_backend_capability,
+        get_backend,
+    )
+
+    m, k = a.shape
+    n = b.shape[1]
+    has_accumulator = c is not None
+    impl = get_backend(ctx.backend)
+    planning = callable(getattr(impl, "select_backend", None))
+    if not planning:
+        check_backend_capability(
+            impl, opcode.semiring, has_accumulator=has_accumulator
+        )
+    pipeline = ctx.pipeline
+    if m == 0 or n == 0:
+        launch = pipeline.begin_launch(
+            ctx, api, opcode, a, b, c,
+            validate_inputs=validate_inputs, degenerate=True,
+        )
+        empty, stats = _degenerate_result(opcode.semiring, m, n, k, c)
+        return pipeline.finish_launch(launch, empty, stats, 0.0), stats
+    if compiled is not None:
+        compiled.validate_operands(m, n, k, has_accumulator=has_accumulator)
+
+    densities = None
+    if planning:
+        # Select per launch, replays included: loop entry points that
+        # compiled once under backend="auto" re-plan every iteration, so
+        # closure loops migrate backends as the iterate's density drifts
+        # across the crossover.
+        ctx, impl, densities = _apply_selection(ctx, impl, opcode, a, b, c, api=api)
+        pipeline = ctx.pipeline
+    if compiled is None:
+        compiled, cache_hit = compile_in_context(
+            ctx, opcode, m, n, k, has_accumulator=has_accumulator, api=api
+        )
+
+    launch = pipeline.begin_launch(
+        ctx, api, opcode, a, b, c,
+        validate_inputs=validate_inputs,
+        cache_hit=cache_hit,
+        optimizer_removed=compiled.optimizer_removed,
+        fault_ordinal=fault_ordinal,
+    )
+    _note_plan_densities(launch, densities)
+    clock = _launch_clock(ctx)
+    start = clock.now()
+    result, stats = impl.execute(compiled, a, b, c, context=ctx)
+    elapsed = clock.now() - start
+    return pipeline.finish_launch(launch, result, stats, elapsed), stats
+
+
 def execute_compiled(
     compiled: "CompiledMmo",
     a: np.ndarray,
@@ -374,9 +435,9 @@ def execute_compiled(
     compile once up front: operands are validated against the artifact's
     operand-shape spec, the context's hook pipeline brackets the backend
     call (ring-input validation, fault injection, trace recording — the
-    same hooks, in the same order, as :func:`mmo_tiled`), and the launch
-    is recorded with ``cache_hit`` (callers pass the compile call's hit
-    flag for the first iteration and ``True`` for replays).
+    same launch body as :func:`mmo_tiled`), and the launch is recorded
+    with ``cache_hit`` (callers pass the compile call's hit flag for the
+    first iteration and ``True`` for replays).
 
     ``validate_inputs=False`` opts out of ring-input poison validation,
     exactly as on :func:`mmo_tiled` — loop entry points that deliberately
@@ -388,53 +449,14 @@ def execute_compiled(
     keeps today's claim-at-execute numbering.  Degenerate launches ignore
     it — they never claim an ordinal.
 
-    The context must already be resolved (backend validated); the backend
-    must implement ``execute``.
+    The context must already be resolved (backend validated).
     """
-    from repro.backends.base import (  # lazy: backends import us
-        check_backend_capability,
-        get_backend,
+    a, b, c, _, _, _ = _validate_operands(a, b, c)
+    return _launch(
+        context, compiled.opcode, compiled, a, b, c,
+        api=api, cache_hit=cache_hit,
+        validate_inputs=validate_inputs, fault_ordinal=fault_ordinal,
     )
-
-    a, b, c, m, n, k = _validate_operands(a, b, c)
-    opcode = compiled.opcode
-    pipeline = context.pipeline
-    if m == 0 or n == 0:
-        launch = pipeline.begin_launch(
-            context, api, opcode, a, b, c,
-            validate_inputs=validate_inputs, degenerate=True,
-        )
-        empty, stats = _degenerate_result(opcode.semiring, m, n, k, c)
-        return pipeline.finish_launch(launch, empty, stats, 0.0), stats
-    compiled.validate_operands(m, n, k, has_accumulator=c is not None)
-    impl = get_backend(context.backend)
-    densities = None
-    if callable(getattr(impl, "select_backend", None)):
-        # Re-select per replay: loop entry points that compiled once under
-        # backend="auto" re-plan every iteration, so closure loops migrate
-        # backends as the iterate's density drifts across the crossover.
-        context, impl, densities = _apply_selection(
-            context, impl, opcode, a, b, c, api=api
-        )
-        pipeline = context.pipeline
-    else:
-        check_backend_capability(
-            impl, opcode.semiring, has_accumulator=c is not None
-        )
-
-    launch = pipeline.begin_launch(
-        context, api, opcode, a, b, c,
-        validate_inputs=validate_inputs,
-        cache_hit=cache_hit,
-        optimizer_removed=compiled.optimizer_removed,
-        fault_ordinal=fault_ordinal,
-    )
-    _note_plan_densities(launch, densities)
-    clock = _launch_clock(context)
-    start = clock.now()
-    result, stats = impl.execute(compiled, a, b, c, context=context)
-    elapsed = clock.now() - start
-    return pipeline.finish_launch(launch, result, stats, elapsed), stats
 
 
 def mmo_tiled(
@@ -489,69 +511,13 @@ def mmo_tiled(
         and :class:`~repro.sparse.spgemm.SpgemmStats` for the sparse one).
     """
     opcode = resolve_opcode(ring)
-    semiring = opcode.semiring
-    a, b, c, m, n, k = _validate_operands(a, b, c)
-
-    # Resolve + validate the backend once, up front — even for degenerate
-    # shapes, so a typo (or a capability violation) fails identically on
-    # every input.
+    a, b, c, _, _, _ = _validate_operands(a, b, c)
     ctx = resolve_context(context, backend=backend, device=device)
-    from repro.backends.base import (  # lazy: backends import us
-        check_backend_capability,
-        get_backend,
+    return _launch(
+        ctx, opcode, None, a, b, c,
+        api=api, cache_hit=None,
+        validate_inputs=validate_inputs, fault_ordinal=fault_ordinal,
     )
-
-    impl = get_backend(ctx.backend)
-    planning = callable(getattr(impl, "select_backend", None))
-    if not planning:
-        check_backend_capability(impl, semiring, has_accumulator=c is not None)
-    pipeline = ctx.pipeline
-
-    if m == 0 or n == 0:
-        launch = pipeline.begin_launch(
-            ctx, api, opcode, a, b, c,
-            validate_inputs=validate_inputs, degenerate=True,
-        )
-        empty, stats = _degenerate_result(semiring, m, n, k, c)
-        return pipeline.finish_launch(launch, empty, stats, 0.0), stats
-
-    densities = None
-    if planning:
-        # Planning backends select per launch; the empty-output path above
-        # never reaches here (nothing runs, so there is nothing to plan).
-        ctx, impl, densities = _apply_selection(ctx, impl, opcode, a, b, c, api=api)
-        pipeline = ctx.pipeline
-
-    if _supports_compile(impl):
-        compiled, hit = compile_in_context(
-            ctx, impl, opcode, m, n, k, has_accumulator=c is not None, api=api
-        )
-        launch = pipeline.begin_launch(
-            ctx, api, opcode, a, b, c,
-            validate_inputs=validate_inputs,
-            cache_hit=hit,
-            optimizer_removed=compiled.optimizer_removed,
-            fault_ordinal=fault_ordinal,
-        )
-        _note_plan_densities(launch, densities)
-        clock = _launch_clock(ctx)
-        start = clock.now()
-        result, stats = impl.execute(compiled, a, b, c, context=ctx)
-        elapsed = clock.now() - start
-        return pipeline.finish_launch(launch, result, stats, elapsed), stats
-
-    # Legacy single-shot path: backends registered with only run_mmo.
-    launch = pipeline.begin_launch(
-        ctx, api, opcode, a, b, c,
-        validate_inputs=validate_inputs,
-        fault_ordinal=fault_ordinal,
-    )
-    _note_plan_densities(launch, densities)
-    clock = _launch_clock(ctx)
-    start = clock.now()
-    result, stats = impl.run_mmo(opcode, a, b, c, context=ctx)
-    elapsed = clock.now() - start
-    return pipeline.finish_launch(launch, result, stats, elapsed), stats
 
 
 def mmo_tiled_split_k(

@@ -138,7 +138,7 @@ class LaunchRecord:
     when the plan cache served the compiled artifact (or a precompiled
     artifact was replayed), ``False`` when this launch paid for a fresh
     lowering, and ``None`` when no compilation happened at all (degenerate
-    empty outputs, legacy ``run_mmo``-only backends).
+    empty outputs).
     ``optimizer_removed`` counts the instructions
     :func:`repro.isa.optimizer.optimize_program` dropped from the
     artifact's warp program.

@@ -34,7 +34,6 @@ from repro.runtime.kernels import compile_in_context
 from repro.sched.graph import GraphBuilder, LaunchGraph, Ref
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.backends.base import Backend
     from repro.compile.artifact import CompiledMmo
     from repro.core.semiring import Semiring
     from repro.hw.device import Simd2Device
@@ -61,25 +60,17 @@ class ArtifactPool:
     across iterations, so iteration 0 reports the cold-cache miss and
     every later iteration a hit, exactly like the pre-graph loop.
 
-    Backends without the compile/execute split (and planning backends,
-    which select per launch) yield ``(None, None)``: their nodes
-    dispatch through :func:`~repro.runtime.kernels.mmo_tiled` instead.
+    The artifact is backend-agnostic, so every context gets one,
+    ``backend="auto"`` included (its nodes re-plan per replay).  Only
+    empty outputs yield ``(None, None)``: nothing is lowered for them,
+    and their nodes dispatch through
+    :func:`~repro.runtime.kernels.mmo_tiled`.
     """
 
     def __init__(self, context: "ExecutionContext", api: str):
-        from repro.backends.base import get_backend  # lazy: layered above
-
         self._context = context
         self._api = api
-        self._impl: "Backend" = get_backend(context.backend)
-        self._supports = callable(getattr(self._impl, "compile", None)) and callable(
-            getattr(self._impl, "execute", None)
-        )
         self._memo: "dict[tuple[str, int, int, int, bool], CompiledMmo]" = {}
-
-    @property
-    def supports_compile(self) -> bool:
-        return self._supports
 
     def artifact(
         self,
@@ -91,14 +82,14 @@ class ArtifactPool:
         has_accumulator: bool,
     ) -> "tuple[CompiledMmo | None, bool | None]":
         """The artifact for one launch shape plus its node's cache-hit flag."""
-        if not self._supports or m <= 0 or n <= 0:
+        if m <= 0 or n <= 0:
             return None, None
         key = (opcode.name, m, n, k, has_accumulator)
         compiled = self._memo.get(key)
         if compiled is not None:
             return compiled, True
         compiled, hit = compile_in_context(
-            self._context, self._impl, opcode, m, n, k,
+            self._context, opcode, m, n, k,
             has_accumulator=has_accumulator, api=self._api,
         )
         self._memo[key] = compiled

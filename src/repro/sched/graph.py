@@ -106,13 +106,14 @@ class Ref:
 
 @dataclasses.dataclass(frozen=True)
 class LaunchStep:
-    """One mmo launch: replay a compiled artifact (or single-shot dispatch).
+    """One mmo launch: replay a compiled artifact, or compile at dispatch.
 
-    ``compiled is None`` dispatches through
-    :func:`~repro.runtime.kernels.mmo_tiled` (legacy backends without the
-    compile/execute split, planning backends, degenerate shapes);
-    otherwise :func:`~repro.runtime.kernels.execute_compiled` replays the
-    artifact with ``cache_hit`` recorded on the launch.  ``fault_ordinal``
+    ``compiled is None`` compiles at dispatch through
+    :func:`~repro.runtime.kernels.mmo_tiled` (the policy nodes of
+    ``resilient_mmo``/``checked_mmo``, empty outputs, and batch items
+    whose shapes disagree); otherwise
+    :func:`~repro.runtime.kernels.execute_compiled` replays the artifact
+    with ``cache_hit`` recorded on the launch.  ``fault_ordinal``
     is the node's build-time-reserved fault-plan ordinal (``None`` when
     no plan rides the context, or for degenerate empty-output launches).
 

@@ -113,17 +113,6 @@ class TestLaunchBracketRule:
         )
         assert violations == []
 
-    def test_run_mmo_also_bracketed(self):
-        violations = _check(
-            LaunchBracketRule(),
-            """
-            def legacy(impl, op, a, b):
-                return impl.run_mmo(op, a, b, None, context=None)
-            """,
-            "repro/runtime/kernels.py",
-        )
-        assert len(violations) == 1
-
     def test_only_runtime_in_scope(self):
         assert not LaunchBracketRule().applies_to("repro/backends/base.py")
 

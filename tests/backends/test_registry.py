@@ -16,14 +16,17 @@ from repro.backends import (
 )
 from repro.backends.base import _REGISTRY
 from repro.backends.sparse import identity_absorbs
+from repro.compile import compile_mmo, resolve_opcode
 from repro.core import SEMIRINGS, mmo
 from repro.hw.device import Simd2Device
 from repro.resilience import checked_mmo
 from repro.runtime import (
+    ExecutionContext,
     HostRuntime,
     RuntimeError_,
     batched_mmo,
     closure,
+    execute_compiled,
     mmo_tiled,
     mmo_tiled_multi_device,
     mmo_tiled_split_k,
@@ -64,9 +67,9 @@ class TestRegistry:
         class DoublingBackend:
             name = "test-doubling"
 
-            def run_mmo(self, opcode, a, b, c, *, context):
-                d, stats = get_backend("vectorized").run_mmo(
-                    opcode, a, b, c, context=context
+            def execute(self, compiled, a, b, c, *, context):
+                d, stats = get_backend("vectorized").execute(
+                    compiled, a, b, c, context=context
                 )
                 return d * 2, stats
 
@@ -85,7 +88,7 @@ class TestRegistry:
         class Dummy:
             name = "test-dummy"
 
-            def run_mmo(self, opcode, a, b, c, *, context):  # pragma: no cover
+            def execute(self, compiled, a, b, c, *, context):  # pragma: no cover
                 raise NotImplementedError
 
         register_backend(Dummy())
@@ -98,11 +101,26 @@ class TestRegistry:
 
     def test_nameless_backend_rejected(self):
         class Nameless:
-            def run_mmo(self, opcode, a, b, c, *, context):  # pragma: no cover
+            def execute(self, compiled, a, b, c, *, context):  # pragma: no cover
                 raise NotImplementedError
 
         with pytest.raises(BackendError, match="name"):
             register_backend(Nameless())
+
+    def test_backend_without_execute_rejected(self):
+        # The removed run_mmo protocol fails at registration, not mid-launch.
+        class RunMmoOnly:
+            name = "test-run-mmo-only"
+
+            def run_mmo(self, opcode, a, b, c, *, context):  # pragma: no cover
+                raise NotImplementedError
+
+        try:
+            with pytest.raises(BackendError, match="execute"):
+                register_backend(RunMmoOnly())
+            assert "test-run-mmo-only" not in list_backends()
+        finally:
+            _REGISTRY.pop("test-run-mmo-only", None)
 
 
 class TestEntryPointValidation:
@@ -159,6 +177,26 @@ class TestEntryPointValidation:
     def test_resolve_context(self):
         with pytest.raises(RuntimeError_, match="unknown backend"):
             resolve_context(backend="cuda")
+
+
+class TestCapabilityCheck:
+    """Both launch entry points check the backend's declared rings first."""
+
+    @pytest.mark.parametrize("entry", ["mmo_tiled", "execute_compiled"])
+    def test_empty_output_still_checks_capability(self, entry):
+        a, b = np.zeros((0, 16)), np.zeros((16, 16))
+        ctx = ExecutionContext(backend="sparse")
+        with pytest.raises(
+            BackendError, match="does not support the plus-norm ring"
+        ):
+            if entry == "mmo_tiled":
+                mmo_tiled("plus-norm", a, b, context=ctx)
+            else:
+                compiled, _ = compile_mmo(
+                    resolve_opcode("plus-norm"), 16, 16, 16,
+                    has_accumulator=False, context=ctx,
+                )
+                execute_compiled(compiled, a, b, context=ctx)
 
 
 class TestDeviceIdiomDeduplicated:

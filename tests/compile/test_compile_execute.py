@@ -5,11 +5,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends import get_backend, list_backends
-from repro.backends.base import _REGISTRY, register_backend
+from repro.backends import capable_backends, get_backend, list_backends
 from repro.bench import render_trace
-from repro.compile import CompileError, PlanCache, resolve_opcode
-from repro.core import mmo
+from repro.compile import (
+    CompileError,
+    PlanCache,
+    grid_for,
+    lower_mmo,
+    resolve_opcode,
+)
+from repro.core import SEMIRINGS, mmo
 from repro.hw.device import Simd2Device
 from repro.runtime import (
     ExecutionContext,
@@ -49,18 +54,14 @@ class TestCompileExecuteParity:
         expected = mmo(ring, a, b, c)
         from repro.backends import capabilities_of
 
+        compiled = lower_mmo(opcode, *grid_for(m, n, k), has_accumulator=True)
         for name in list_backends():
             impl = get_backend(name)
-            if not callable(getattr(impl, "compile", None)):
-                continue
             if not capabilities_of(impl).supports(
                 ring.name, has_accumulator=True
             ):
                 continue  # declared incapability (e.g. sparse × plus-norm)
             ctx = resolve_context(None, backend=name)
-            compiled = impl.compile(
-                opcode, m, n, k, has_accumulator=True, context=ctx
-            )
             got, stats = impl.execute(compiled, a, b, c, context=ctx)
             assert (stats.tiles_m, stats.tiles_n, stats.tiles_k) == compiled.grid
             if ring.oplus is np.add:
@@ -75,10 +76,9 @@ class TestCompileExecuteParity:
 
     def test_artifact_replays_across_shapes_in_its_tile_class(self, rng):
         # One artifact, two different (m, n, k) in the same 16-ceiling class.
-        impl = get_backend("vectorized")
         ctx = resolve_context(None)
         opcode = resolve_opcode("min-plus")
-        compiled = impl.compile(opcode, 20, 17, 33, has_accumulator=False, context=ctx)
+        compiled = lower_mmo(opcode, *grid_for(20, 17, 33), has_accumulator=False)
         for m, k, n in [(20, 33, 17), (32, 48, 32)]:
             a, b, _ = make_ring_inputs(opcode.semiring, m, k, n, rng, with_c=False)
             got, _ = execute_compiled(compiled, a, b, context=ctx)
@@ -133,6 +133,24 @@ class TestCacheFlow:
         assert [r.cache_hit for r in trace.records] == [False, True, True]
         assert cache.stats().misses == 1
 
+    def test_one_artifact_serves_every_backend(self, rng):
+        # The plan-cache key names no backend: the first backend lowers
+        # the shape, every other capable backend replays that artifact.
+        cache = PlanCache()
+        trace = Trace()
+        a, b, _ = make_ring_inputs(
+            SEMIRINGS["min-plus"], 20, 33, 17, rng, with_c=False
+        )
+        names = capable_backends("min-plus")
+        for name in names:
+            ctx = ExecutionContext(backend=name, trace=trace, plan_cache=cache)
+            mmo_tiled("min-plus", a, b, context=ctx)
+        stats = cache.stats()
+        assert (stats.misses, stats.hits) == (1, len(names) - 1)
+        assert [r.cache_hit for r in trace.records] == [False] + [True] * (
+            len(names) - 1
+        )
+
     def test_multidevice_bands_share_one_artifact(self, rng):
         cache = PlanCache()
         trace = Trace()
@@ -151,24 +169,6 @@ class TestCacheFlow:
         np.testing.assert_array_equal(out, mmo("min-plus", a, b))
         assert [r.cache_hit for r in trace.records] == [False, True]
         assert cache.stats().misses == 1
-
-    def test_legacy_run_mmo_backend_records_no_cache_flag(self):
-        class LegacyBackend:
-            name = "test-legacy-compat"
-
-            def run_mmo(self, opcode, a, b, c, *, context):
-                return get_backend("vectorized").run_mmo(
-                    opcode, a, b, c, context=context
-                )
-
-        register_backend(LegacyBackend())
-        try:
-            trace = Trace()
-            ctx = ExecutionContext(backend="test-legacy-compat", trace=trace)
-            mmo_tiled("plus-mul", np.ones((4, 4)), np.ones((4, 4)), context=ctx)
-            assert trace.records[0].cache_hit is None
-        finally:
-            _REGISTRY.pop("test-legacy-compat", None)
 
 
 class TestTracedClosure:
@@ -217,11 +217,10 @@ class TestTracedClosure:
 
 class TestExecuteCompiledValidation:
     def test_wrong_tile_grid_rejected(self):
-        impl = get_backend("vectorized")
         ctx = resolve_context(None)
-        compiled = impl.compile(
-            resolve_opcode("min-plus"), 16, 16, 16,
-            has_accumulator=False, context=ctx,
+        compiled = lower_mmo(
+            resolve_opcode("min-plus"), *grid_for(16, 16, 16),
+            has_accumulator=False,
         )
         with pytest.raises(CompileError, match="tile grid"):
             execute_compiled(
@@ -229,11 +228,10 @@ class TestExecuteCompiledValidation:
             )
 
     def test_accumulator_mismatch_rejected(self):
-        impl = get_backend("vectorized")
         ctx = resolve_context(None)
-        compiled = impl.compile(
-            resolve_opcode("min-plus"), 16, 16, 16,
-            has_accumulator=False, context=ctx,
+        compiled = lower_mmo(
+            resolve_opcode("min-plus"), *grid_for(16, 16, 16),
+            has_accumulator=False,
         )
         with pytest.raises(CompileError, match="has_accumulator"):
             execute_compiled(

@@ -81,18 +81,14 @@ class TestArtifactVerification:
         assert report.store_set
 
     def test_cached_plan_reuses_report(self):
-        from repro.backends.base import get_backend
         from repro.compile.cache import PlanCache
 
-        backend = get_backend("vectorized")
         cache = PlanCache()
         first, hit1 = compile_mmo(
-            backend, MmoOpcode.MAXPLUS, 32, 32, 48,
-            has_accumulator=False, cache=cache,
+            MmoOpcode.MAXPLUS, 32, 32, 48, has_accumulator=False, cache=cache,
         )
         second, hit2 = compile_mmo(
-            backend, MmoOpcode.MAXPLUS, 32, 32, 48,
-            has_accumulator=False, cache=cache,
+            MmoOpcode.MAXPLUS, 32, 32, 48, has_accumulator=False, cache=cache,
         )
         assert (hit1, hit2) == (False, True)
         assert second.verification is first.verification  # no re-verify

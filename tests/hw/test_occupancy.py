@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.compile.lower import build_tile_mmo_program
 from repro.hw import HardwareError
 from repro.hw.occupancy import (
     OccupancyReport,
@@ -13,7 +14,6 @@ from repro.hw.occupancy import (
     tile_kernel_shared_bytes,
 )
 from repro.isa import MmoOpcode
-from repro.runtime.kernels import build_tile_mmo_program
 
 
 def _program(tiles_k: int, boolean: bool = False):

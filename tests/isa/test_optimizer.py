@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.compile.lower import build_tile_mmo_program
 from repro.core import TILE
 from repro.hw import SharedMemory, WarpExecutor
 from repro.isa import (
@@ -18,7 +19,6 @@ from repro.isa import (
     StoreMatrix,
 )
 from repro.isa.optimizer import optimize_program
-from repro.runtime.kernels import build_tile_mmo_program
 from repro.compile import lower_mmo
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.compile.lower import build_tile_mmo_program
 from repro.isa import (
     ElementType,
     FillMatrix,
@@ -15,7 +16,6 @@ from repro.isa import (
     StoreMatrix,
     verify_program,
 )
-from repro.runtime.kernels import build_tile_mmo_program
 
 
 def _valid_program() -> Program:

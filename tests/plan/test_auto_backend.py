@@ -74,13 +74,13 @@ class TestAutoMatchesPlannedStatic:
     def test_direct_execute_path_also_selects(self, rng):
         # Callers that bypass the dispatch seam and call the backend
         # object directly still get plan-then-delegate semantics.
-        from repro.compile.lower import resolve_opcode
+        from repro.compile import grid_for, lower_mmo, resolve_opcode
 
         auto = get_backend("auto")
         opcode = resolve_opcode("min-plus")
         ctx = ExecutionContext(backend="auto", autotune=AutotuneTable())
         a = _ring_operands(SEMIRINGS["min-plus"], 32, rng)
-        compiled = auto.compile(opcode, 32, 32, 32, has_accumulator=False, context=ctx)
+        compiled = lower_mmo(opcode, *grid_for(32, 32, 32), has_accumulator=False)
         got, _ = auto.execute(compiled, a, a, None, context=ctx)
         expected, _ = mmo_tiled("min-plus", a, a, backend="vectorized")
         np.testing.assert_array_equal(got, expected)

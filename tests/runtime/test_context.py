@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.backends import list_backends
+from repro.compile import PlanCache
 from repro.hw.device import Simd2Device
 from repro.runtime import (
     ExecutionContext,
@@ -33,7 +34,7 @@ class TestExecutionContext:
         ctx = default_context()
         assert ctx.backend == "vectorized"
         assert ctx.device is None
-        assert ctx.parallel is False
+        assert ctx.plan_cache is None
         assert ctx.trace is None
 
     def test_frozen(self):
@@ -51,10 +52,11 @@ class TestExecutionContext:
         with use_context(backend="emulate") as ctx:
             assert ctx.backend == "emulate"
             assert default_context() is ctx
-            with use_context(parallel=True) as inner:
+            cache = PlanCache()
+            with use_context(plan_cache=cache) as inner:
                 # Nested overrides compose on the installed context.
                 assert inner.backend == "emulate"
-                assert inner.parallel is True
+                assert inner.plan_cache is cache
             assert default_context() is ctx
         assert default_context().backend == "vectorized"
 
@@ -65,10 +67,11 @@ class TestExecutionContext:
         assert default_context().backend == "vectorized"
 
     def test_resolve_precedence_keywords_over_context(self):
-        base = ExecutionContext(backend="emulate", parallel=True)
+        cache = PlanCache()
+        base = ExecutionContext(backend="emulate", plan_cache=cache)
         resolved = resolve_context(base, backend="sparse")
         assert resolved.backend == "sparse"
-        assert resolved.parallel is True  # untouched fields survive
+        assert resolved.plan_cache is cache  # untouched fields survive
 
     def test_resolve_defaults_to_ambient(self):
         with use_context(backend="sparse"):

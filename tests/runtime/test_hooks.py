@@ -12,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.backends.base import get_backend
-from repro.compile import PlanCache
+from repro.compile import PlanCache, grid_for, lower_mmo
 from repro.compile.lower import resolve_opcode
 from repro.core import SEMIRINGS
 from repro.hooks import (
@@ -52,12 +51,11 @@ def _launch_mmo_tiled(ring, a, b, c, **kwargs):
 
 def _launch_execute_compiled(ring, a, b, c, **kwargs):
     ctx = resolve_context(kwargs.pop("context", None))
-    impl = get_backend(ctx.backend)
     opcode = resolve_opcode(ring)
     m, k = a.shape
     n = b.shape[1]
-    compiled = impl.compile(
-        opcode, m, n, k, has_accumulator=c is not None, context=ctx
+    compiled = lower_mmo(
+        opcode, *grid_for(m, n, k), has_accumulator=c is not None
     )
     return execute_compiled(compiled, a, b, c, context=ctx, **kwargs)
 

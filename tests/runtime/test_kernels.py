@@ -5,11 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.compile.lower import build_tile_mmo_program
 from repro.core import TILE, mmo
 from repro.hw import Simd2Device
 from repro.isa import MmoOpcode
 from repro.runtime import RuntimeError_, mmo_tiled
-from repro.runtime.kernels import build_tile_mmo_program
 from tests.conftest import make_ring_inputs
 
 # Shapes exercising: exact tiles, padding in every dimension, tiny inputs,

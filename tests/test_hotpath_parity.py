@@ -5,7 +5,7 @@ merge replaced per-scalar Python loops that are kept in-tree as oracles
 (``WarpExecutor(batched_mmo=False)`` / :func:`spgemm_reference`).  These
 property-based tests sweep random shapes and densities across all nine
 rings and assert bit-identical values *and* identical statistics, plus
-emulate-backend coverage for split-k and the parallel launch mode.
+emulate-backend coverage for split-k.
 """
 
 from __future__ import annotations
@@ -170,21 +170,6 @@ class TestBatchedMmoParity:
         assert batched.dtype == scalar.dtype
         assert s_batched.execution.unit_ops == s_scalar.execution.unit_ops
         assert s_batched.execution.mmos == s_scalar.execution.mmos
-
-    @given(ring_names, dims, dims, dims, seeds, st.booleans())
-    @settings(max_examples=15, deadline=None)
-    def test_parallel_launch_is_deterministic(
-        self, name, m, k, n, seed, continuous
-    ):
-        ring = SEMIRINGS[name]
-        a, b = _dense_operands(ring, m, k, n, seed, continuous=continuous)
-        serial, s_serial = mmo_tiled(name, a, b, backend="emulate")
-        parallel, s_parallel = mmo_tiled(
-            name, a, b, backend="emulate",
-            device=Simd2Device(sm_count=4, parallel=True),
-        )
-        np.testing.assert_array_equal(serial, parallel)
-        assert s_serial.execution == s_parallel.execution
 
     @given(ring_names, seeds, st.booleans())
     @settings(max_examples=10, deadline=None)
