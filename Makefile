@@ -4,10 +4,10 @@ install:
 	pip install -e . --no-build-isolation
 
 test:
-	pytest tests/
+	PYTHONPATH=src pytest tests/
 
 bench:
-	pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src pytest benchmarks/ --benchmark-only
 
 # Quick hot-path perf smoke (asserts bit-identical scalar/vectorized parity).
 # PYTHONPATH makes it work from a bare checkout, before `make install`.
@@ -74,10 +74,10 @@ check-types:
 	fi
 
 tables:
-	python -m repro.bench
+	PYTHONPATH=src python -m repro.bench
 
 csv:
-	python -c "from repro.bench.export import export_all; print(*export_all('benchmarks/results/csv'), sep='\n')"
+	PYTHONPATH=src python -c "from repro.bench.export import export_all; print(*export_all('benchmarks/results/csv'), sep='\n')"
 
 examples:
 	@for script in examples/*.py; do \

@@ -1,8 +1,9 @@
 """All-pairs shortest paths on a road-style network — the paper's Figure 7.
 
 Mirrors the paper's host-side CUDA workflow step by step on the emulated
-device: allocate device buffers, copy the adjacency matrix in, iterate
-``simd2_minplus`` with a convergence check, copy the distances out — then
+device through :class:`~repro.runtime.HostRuntime`: allocate a device
+buffer, copy the adjacency matrix in, iterate ``simd2_minplus`` with a
+convergence check, copy the distances out — then
 validates the result against the ECL-APSP-style tiled Floyd–Warshall
 baseline and reports iteration statistics for Leyzorek vs Bellman-Ford.
 
@@ -16,38 +17,26 @@ import numpy as np
 from repro.apps import apsp_baseline
 from repro.datasets import GraphSpec, distance_graph
 from repro.hw import Simd2Device
-from repro.runtime import closure, mmo_tiled
+from repro.runtime import HostRuntime, closure
 from repro.timing import app_times
 
 
 def figure7_host_workflow(adjacency: np.ndarray) -> np.ndarray:
-    """The paper's Figure 7 loop, written against the emulated device."""
-    device = Simd2Device(sm_count=4)
-    n = adjacency.shape[0]
-
+    """The paper's Figure 7 loop, driven through the host runtime."""
+    host = HostRuntime(Simd2Device(sm_count=4))
     # cudaMalloc + cudaMemcpy(H2D)
-    device.malloc("adj_mat_d", (n, n), np.float32)
-    device.malloc("dist_d", (n, n), np.float32)
-    device.memcpy_h2d("adj_mat_d", adjacency)
-    device.memcpy_h2d("dist_d", adjacency)
-
-    converge = False
-    iterations = 0
-    while not converge:
-        dist = device.global_memory["dist_d"]
-        adj = device.global_memory["adj_mat_d"]
-        # simd2_minplus(adj, dist, dist, delta): one whole-matrix mmo on
-        # the SIMD² units (instruction-level emulation).
-        delta, _ = mmo_tiled("min-plus", dist, adj, dist, backend="emulate", device=device)
-        # check_convergence: a pure element-wise GPU kernel.
-        converge = bool(np.array_equal(delta, dist))
-        device.global_memory["dist_d"][...] = delta
-        iterations += 1
-
-    result = device.memcpy_d2h("dist_d")
+    host.upload("dist_d", adjacency)
+    # while (!converge) { simd2_minplus(...); check_convergence(...); }:
+    # whole-matrix mmos on the SIMD² units (instruction-level emulation),
+    # each followed by an element-wise convergence check on device memory.
+    outcome = host.run_closure("min-plus", "dist_d", method="bellman-ford")
+    # cudaMemcpy(D2H)
+    result = host.download("dist_d")
+    device = host.device
     print(f"  device ran {device.kernel_launches} kernel launches, "
           f"{device.stats.mmos} warp-level mmo instructions, "
-          f"{iterations} Bellman-Ford iterations")
+          f"{outcome.iterations} Bellman-Ford iterations")
+    print(f"  host timeline: {' '.join(host.event_kinds())}")
     return result
 
 

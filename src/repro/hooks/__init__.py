@@ -24,28 +24,16 @@ from repro.hooks.pipeline import (
     build_pipeline,
     emit_event,
 )
-from repro.hooks.registry import (
-    HookError,
-    get_hook,
-    list_hooks,
-    register_hook,
-    resolve_hook,
-)
 
 __all__ = [
     "CacheStatsHook",
     "EMPTY_PIPELINE",
     "FaultHook",
     "Hook",
-    "HookError",
     "HookPipeline",
     "Launch",
     "TraceHook",
     "ValidationHook",
     "build_pipeline",
     "emit_event",
-    "get_hook",
-    "list_hooks",
-    "register_hook",
-    "resolve_hook",
 ]

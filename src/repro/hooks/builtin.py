@@ -16,9 +16,8 @@ validation → fault → trace.  That order *is* load-bearing:
 :class:`CacheStatsHook` is the odd one out: it is stateful (per-instance
 counters), so it is not part of the default assembly — attach a fresh
 instance via ``ExecutionContext(hooks=(CacheStatsHook(),))`` to meter one
-context's compile traffic (the serving tier does this per tenant, where
-the process-wide :class:`~repro.compile.cache.PlanCache` counters are too
-coarse).
+context's compile traffic (where the process-wide
+:class:`~repro.compile.cache.PlanCache` counters are too coarse).
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import threading
 from typing import TYPE_CHECKING
 
 from repro.hooks.pipeline import Hook
-from repro.hooks.registry import register_hook
 from repro.runtime.kernels import _validate_ring_inputs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -47,7 +45,6 @@ __all__ = [
 ]
 
 
-@register_hook(name="validation")
 class ValidationHook(Hook):
     """Reject value-poisoned operands before the backend runs.
 
@@ -73,7 +70,6 @@ class ValidationHook(Hook):
             _validate_ring_inputs(opcode.semiring, a, b, c)
 
 
-@register_hook(name="fault")
 class FaultHook(Hook):
     """The fault-injection seam (subsumes ``_fault_begin``/``_fault_corrupt``).
 
@@ -104,7 +100,6 @@ class FaultHook(Hook):
         )
 
 
-@register_hook(name="trace")
 class TraceHook(Hook):
     """Record launches and resilience events on the context's trace sink.
 
@@ -197,14 +192,12 @@ class TraceHook(Hook):
             trace.record_plan(plan)
 
 
-@register_hook(name="cache-stats")
 class CacheStatsHook(Hook):
     """Per-pipeline compile-traffic counters (hit/miss at the compile seam).
 
     Unlike the process-wide :class:`~repro.compile.cache.PlanCache`
     counters, an instance attached to one context meters only that
-    context's launches — the granularity the serving tier needs per
-    tenant and the autotuner needs per candidate schedule.
+    context's launches.
     """
 
     def __init__(self) -> None:

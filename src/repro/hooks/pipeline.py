@@ -69,14 +69,8 @@ class Hook:
     Subclass and override any subset of the five points; the pipeline
     inspects which methods are overridden at assembly time and only ever
     invokes those, so an unoverridden point costs nothing per launch.
-    Hooks self-register with :func:`repro.hooks.register_hook` so they
-    can be named in configuration (the serving tier / autotuner attach
-    custom hooks this way); instances attach to a context via
-    ``ExecutionContext(hooks=(...))``.
+    Instances attach to a context via ``ExecutionContext(hooks=(...))``.
     """
-
-    #: Registry name (set by :func:`repro.hooks.register_hook`).
-    name: str = ""
 
     #: Optional allocation-free form of ``pre_execute`` with signature
     #: ``(context, api, opcode, a, b, c, validate_inputs) -> None``.  When
@@ -365,7 +359,7 @@ class HookPipeline:
         return len(self.hooks)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        names = ", ".join(h.name or type(h).__name__ for h in self.hooks)
+        names = ", ".join(type(h).__name__ for h in self.hooks)
         return f"HookPipeline([{names}])"
 
 
@@ -384,11 +378,9 @@ def build_pipeline(context: "ExecutionContext") -> HookPipeline:
     ``context.trace`` is set) → breaker (only when ``context.breakers``
     is set) → autotune (only for adaptive contexts: ``backend="auto"``
     or an explicit ``autotune=`` table, so plain static contexts keep
-    the allocation-free fast path) → the context's custom ``hooks``
-    (instances or registry names, see :func:`repro.hooks.register_hook`).
+    the allocation-free fast path) → the context's custom ``hooks``.
     """
     from repro.hooks.builtin import FAULT_HOOK, TRACE_HOOK, VALIDATION_HOOK
-    from repro.hooks.registry import resolve_hook
 
     hooks: list[Hook] = [VALIDATION_HOOK]
     if getattr(context, "budget", None) is not None:
@@ -410,8 +402,7 @@ def build_pipeline(context: "ExecutionContext") -> HookPipeline:
         from repro.plan.autotune import AutotuneHook
 
         hooks.append(AutotuneHook())
-    for spec in getattr(context, "hooks", ()):
-        hooks.append(resolve_hook(spec))
+    hooks.extend(getattr(context, "hooks", ()))
     return HookPipeline(hooks)
 
 

@@ -30,7 +30,6 @@ import threading
 from typing import TYPE_CHECKING, NamedTuple
 
 from repro.hooks.pipeline import Hook
-from repro.hooks.registry import register_hook
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hooks.pipeline import Launch
@@ -362,7 +361,6 @@ def default_autotune_table() -> AutotuneTable:
     return _DEFAULT_TABLE
 
 
-@register_hook(name="autotune")
 class AutotuneHook(Hook):
     """Feed observed launch wall times into the context's autotune table.
 

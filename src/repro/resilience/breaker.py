@@ -45,7 +45,6 @@ import threading
 from typing import TYPE_CHECKING
 
 from repro.hooks.pipeline import Hook
-from repro.hooks.registry import register_hook
 from repro.resilience.clock import Clock, default_clock
 from repro.resilience.faults import ResilienceError
 
@@ -275,7 +274,6 @@ class BreakerBoard:
             }
 
 
-@register_hook(name="breaker")
 class BreakerHook(Hook):
     """Feed the context's :class:`BreakerBoard` from the launch pipeline.
 

@@ -34,7 +34,6 @@ import threading
 from typing import TYPE_CHECKING
 
 from repro.hooks.pipeline import Hook
-from repro.hooks.registry import register_hook
 from repro.resilience.clock import Clock, resolve_clock
 from repro.resilience.faults import ResilienceError
 
@@ -292,7 +291,6 @@ class ExecutionBudget:
         clock.sleep(seconds)
 
 
-@register_hook(name="budget")
 class BudgetHook(Hook):
     """Charge the context's budget at the ``begin_launch`` seam.
 

@@ -25,7 +25,8 @@ from repro.core.registry import get_semiring
 from repro.core.semiring import Semiring
 from repro.resilience.faults import ResilienceError
 from repro.resilience.policy import FallbackChain, RetryPolicy, resilient_mmo
-from repro.resilience.watchdog import ClosureDiagnostics, ClosureWatchdog
+from repro.resilience.watchdog import ClosureWatchdog
+from repro.runtime.closure import ClosureResult, _iterate, matrices_equal
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hw.device import Simd2Device
@@ -37,22 +38,18 @@ __all__ = ["ResilientClosureResult", "resilient_closure"]
 
 
 @dataclasses.dataclass(frozen=True)
-class ResilientClosureResult:
+class ResilientClosureResult(ClosureResult):
     """Outcome of a fault-tolerant closure iteration.
 
-    ``blacklist`` is the final set of failed device indices (empty for
-    single-device runs); ``device_shares`` is the last iteration's
-    partition, showing which surviving device owned which row band.
+    A :class:`~repro.runtime.closure.ClosureResult` plus the recovery
+    state: ``blacklist`` is the final set of failed device indices
+    (empty for single-device runs); ``device_shares`` is the last
+    iteration's partition, showing which surviving device owned which
+    row band.
     """
 
-    matrix: np.ndarray
-    iterations: int
-    converged: bool
-    method: str
-    mmo_calls: int
-    diagnostics: "ClosureDiagnostics | None"
-    blacklist: frozenset[int]
-    device_shares: "tuple[DeviceShare, ...]"
+    blacklist: frozenset[int] = frozenset()
+    device_shares: "tuple[DeviceShare, ...]" = ()
 
 
 def resilient_closure(
@@ -90,7 +87,6 @@ def resilient_closure(
     The ``watchdog`` observes every iterate; on a trip the loop stops
     with the structured diagnosis instead of burning the iteration cap.
     """
-    from repro.runtime.closure import _iterate, matrices_equal
     from repro.runtime.context import resolve_context
     from repro.runtime.multidevice import mmo_tiled_multi_device
 
@@ -140,12 +136,5 @@ def resilient_closure(
         watchdog=watchdog,
     )
     return ResilientClosureResult(
-        matrix=result.matrix,
-        iterations=result.iterations,
-        converged=result.converged,
-        method=method,
-        mmo_calls=result.iterations,
-        diagnostics=result.diagnostics,
-        blacklist=frozenset(blacklist),
-        device_shares=shares,
+        **vars(result), blacklist=frozenset(blacklist), device_shares=shares
     )

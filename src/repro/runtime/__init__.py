@@ -21,7 +21,7 @@ from repro.runtime.closure import (
     matrices_equal,
     max_iterations_for,
 )
-from repro.runtime.host import HostClosureOutcome, HostEvent, HostRuntime
+from repro.runtime.host import HostEvent, HostRuntime
 from repro.runtime.batched import BatchStats, batched_mmo
 from repro.runtime.vector import VectorResult, reachable_from, sssp, vxm
 from repro.runtime.multidevice import DeviceShare, mmo_tiled_multi_device
@@ -47,7 +47,6 @@ __all__ = [
     "closure",
     "matrices_equal",
     "max_iterations_for",
-    "HostClosureOutcome",
     "HostEvent",
     "HostRuntime",
     "BatchStats",

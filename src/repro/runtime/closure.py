@@ -125,7 +125,8 @@ def _iterate(
     watchdog: "bool | ClosureWatchdog",
     on_budget: str = "raise",
 ) -> ClosureResult:
-    """The Figure-7 host loop behind :func:`closure` and
+    """The Figure-7 host loop behind :func:`closure` (and so
+    :meth:`~repro.runtime.host.HostRuntime.run_closure`) and
     :func:`~repro.resilience.closure.resilient_closure`.
 
     The loop owns the bound, the watchdog, the convergence check and the

@@ -79,9 +79,8 @@ class ExecutionContext:
         and the multi-device partitioner hard-fails the planned devices.
         ``None`` (the default) injects nothing and costs nothing.
     hooks:
-        Custom :class:`~repro.hooks.pipeline.Hook` instances (or registry
-        names, see :func:`repro.hooks.register_hook`) appended to the
-        built-in pipeline.  The built-in trace/fault/validation hooks are
+        Custom :class:`~repro.hooks.pipeline.Hook` instances appended to
+        the built-in pipeline.  The built-in trace/fault/validation hooks are
         implied by the ``trace``/``fault_plan`` fields and need not be
         listed here.
     autotune:
@@ -140,7 +139,7 @@ class ExecutionContext:
     trace: "Trace | None" = None
     plan_cache: "PlanCache | None" = None
     fault_plan: "FaultPlan | None" = None
-    hooks: "tuple[Hook | str, ...]" = ()
+    hooks: "tuple[Hook, ...]" = ()
     autotune: "AutotuneTable | None" = None
     scheduler: "Scheduler | None" = None
     clock: "Clock | None" = None

@@ -16,15 +16,14 @@ import dataclasses
 
 import numpy as np
 
-from repro.compile.lower import resolve_opcode
 from repro.core.registry import get_semiring
 from repro.core.semiring import Semiring
 from repro.hw.device import Simd2Device
-from repro.runtime.closure import _iteration_limit
+from repro.runtime.closure import ClosureResult, closure
 from repro.runtime.context import ExecutionContext, resolve_context
 from repro.runtime.kernels import KernelStats, mmo_tiled
 
-__all__ = ["HostEvent", "HostClosureOutcome", "HostRuntime"]
+__all__ = ["HostEvent", "HostRuntime"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -33,16 +32,6 @@ class HostEvent:
 
     kind: str  # malloc | memcpy_h2d | memcpy_d2h | mmo_launch | check | free
     detail: str
-
-
-@dataclasses.dataclass(frozen=True)
-class HostClosureOutcome:
-    """Result of :meth:`HostRuntime.run_closure`."""
-
-    matrix: np.ndarray
-    iterations: int
-    converged: bool
-    kernel_stats: tuple[KernelStats, ...]
 
 
 class HostRuntime:
@@ -130,66 +119,27 @@ class HostRuntime:
         method: str = "leyzorek",
         convergence_check: bool = True,
         max_iterations: int | None = None,
-    ) -> HostClosureOutcome:
+    ) -> ClosureResult:
         """The Figure 7 loop over a named device buffer.
 
-        Allocates a scratch ``<name>__delta`` buffer, iterates
-        ``delta = dist ⊕ (dist ⊗ X)`` with a device-side convergence check,
-        and leaves the final matrix in the adjacency buffer.
+        Runs :func:`~repro.runtime.closure.closure` on the buffer under
+        this runtime's context — so the host takes the library's
+        semantics: the iterate is cast to the ring's output dtype before
+        the first launch, and a NaN fixpoint counts as a fixpoint — then
+        leaves the final matrix in the adjacency buffer (in the buffer's
+        own dtype) and logs one ``mmo_launch`` per iteration, each
+        followed by a ``check`` when the convergence check ran.
         """
         ring = get_semiring(ring)
         dist = self.device.global_memory[adjacency_name]
-        limit = _iteration_limit(
-            method, dist.shape, convergence_check, max_iterations
+        result = closure(
+            ring, dist,
+            method=method, convergence_check=convergence_check,
+            max_iterations=max_iterations, context=self.context,
         )
-        base = dist.copy()
-
-        converged = False
-        iterations = 0
-        all_stats: list[KernelStats] = []
-
-        # Figure 7 compiles the kernel once, then the host loop only
-        # launches: each iteration is lowered onto a LaunchGraph (launch
-        # plus device-side convergence check) run by the context's
-        # scheduler; the shared ArtifactPool compiles the
-        # (n, n, n)-with-accumulator artifact once up front.
-        # Lazy: repro.sched orchestrates this module's loops.
-        from repro.sched.builders import ArtifactPool, closure_step_graph
-        from repro.sched.executor import resolve_scheduler
-
-        opcode = resolve_opcode(ring)
-        pool = ArtifactPool(self.context, "closure")
-        scheduler = resolve_scheduler(self.context)
-
-        for _ in range(limit):
-            operand = dist if method == "leyzorek" else base
-            # Closure iterates non-finite state legitimately (see
-            # repro.runtime.closure): per-iteration validation stays off.
-            # equal_nan=False keeps the host's plain np.array_equal check.
-            graph, out_ref, check_ref, launch_refs = closure_step_graph(
-                self.context, pool, opcode, dist, operand,
-                convergence_check=convergence_check,
-                validate_inputs=False, equal_nan=False,
-            )
-            step = scheduler.run(graph, context=self.context)
-            delta = np.asarray(step[out_ref])
-            for ref in launch_refs:
-                all_stats.append(step.stats_of(ref))
-            self._log("mmo_launch", f"{ring.name} closure step {iterations}")
-            iterations += 1
-            if convergence_check:
-                same = check_ref is not None and bool(step[check_ref])
-                self._log("check", f"convergence after step {iterations}")
-                dist[...] = delta
-                if same:
-                    converged = True
-                    break
-            else:
-                dist[...] = delta
-
-        return HostClosureOutcome(
-            matrix=dist.copy(),
-            iterations=iterations,
-            converged=converged,
-            kernel_stats=tuple(all_stats),
-        )
+        dist[...] = result.matrix
+        for step in range(result.iterations):
+            self._log("mmo_launch", f"{ring.name} closure step {step}")
+            if step < result.convergence_checks:
+                self._log("check", f"convergence after step {step + 1}")
+        return result

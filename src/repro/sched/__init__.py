@@ -2,9 +2,9 @@
 
 The lower-then-schedule split applied *across* launches: every
 loop-shaped entry point in :mod:`repro.runtime` (closure iterations,
+which :meth:`~repro.runtime.host.HostRuntime.run_closure` also runs,
 :func:`~repro.runtime.batched.batched_mmo`, split-k,
-:func:`~repro.runtime.multidevice.mmo_tiled_multi_device`, the
-:class:`~repro.runtime.host.HostRuntime` closure loop) lowers its work
+:func:`~repro.runtime.multidevice.mmo_tiled_multi_device`) lowers its work
 onto a :class:`LaunchGraph` — launch / reduce / gather / check nodes
 with explicit data dependencies and build-time fault ordinals — and a
 :class:`Scheduler` decides how to run it.

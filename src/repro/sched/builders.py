@@ -221,7 +221,6 @@ def closure_step_graph(
     bands: int = 1,
     convergence_check: bool = False,
     validate_inputs: bool = False,
-    equal_nan: bool = True,
 ) -> tuple[LaunchGraph, Ref, Ref | None, list[Ref]]:
     """Lower one closure iteration ``D ⊕ (D ⊗ X)`` (optionally banded).
 
@@ -273,11 +272,7 @@ def closure_step_graph(
         out_ref = builder.gather(
             (n, n), semiring.output_dtype, tuple(pieces)
         )
-    check_ref = (
-        builder.check(out_ref, cur_ref, equal_nan=equal_nan)
-        if convergence_check
-        else None
-    )
+    check_ref = builder.check(out_ref, cur_ref) if convergence_check else None
     return builder.build(), out_ref, check_ref, launch_refs
 
 

@@ -372,10 +372,9 @@ def _run_node(
             out[row_start:row_stop] = _resolve(graph, values, ref)
         return out, None
     if isinstance(node, CheckStep):
-        x = np.asarray(_resolve(graph, values, node.x))
-        y = np.asarray(_resolve(graph, values, node.y))
-        same = matrices_equal(x, y) if node.equal_nan else np.array_equal(x, y)
-        return bool(same), None
+        x = _resolve(graph, values, node.x)
+        y = _resolve(graph, values, node.y)
+        return matrices_equal(x, y), None
     raise GraphError(f"unknown node type {type(node).__name__}")
 
 

@@ -192,15 +192,13 @@ class GatherStep:
 class CheckStep:
     """Element-wise convergence check: ``x == y`` as one boolean.
 
-    ``equal_nan=True`` gives the fixpoint semantics of
+    Uses the fixpoint semantics of
     :func:`~repro.runtime.closure.matrices_equal` (a NaN fixpoint is a
-    fixpoint); ``False`` is the :class:`~repro.runtime.host.HostRuntime`
-    convention (plain ``np.array_equal``).
+    fixpoint).
     """
 
     x: Ref
     y: Ref
-    equal_nan: bool = True
 
     def refs(self) -> Iterator[Ref]:
         yield self.x
@@ -362,9 +360,9 @@ class GraphBuilder:
             GatherStep(shape=shape, dtype=dtype, pieces=pieces), shape
         )
 
-    def check(self, x: Ref, y: Ref, *, equal_nan: bool = True) -> Ref:
+    def check(self, x: Ref, y: Ref) -> Ref:
         """Append a convergence check producing one boolean."""
-        return self._append(CheckStep(x=x, y=y, equal_nan=equal_nan), ())
+        return self._append(CheckStep(x=x, y=y), ())
 
     def build(self) -> LaunchGraph:
         return LaunchGraph(

@@ -35,8 +35,6 @@ from repro.timing.backend_cost import (
     CostModelError,
     LaunchSpec,
     estimate,
-    has_estimator,
-    register_estimator,
 )
 
 __all__ = [
@@ -77,6 +75,4 @@ __all__ = [
     "CostModelError",
     "LaunchSpec",
     "estimate",
-    "has_estimator",
-    "register_estimator",
 ]

@@ -31,9 +31,9 @@ crossover band.  They are *relative* prices: absolute wall times on
 other hosts will differ, but the planner only consumes the ordering and
 the crossover location, and the autotune table refines both online.
 
-Unknown backends estimate to :data:`UNKNOWN_COST_S` (infinite) so they
-rank behind every calibrated backend; register a custom estimator with
-:func:`register_estimator` to price a custom backend.
+Unknown backends (a custom registered backend, say) estimate to
+:data:`UNKNOWN_COST_S` (infinite) so they rank behind every calibrated
+backend until the autotune table observes them.
 """
 
 from __future__ import annotations
@@ -47,8 +47,6 @@ __all__ = [
     "LaunchSpec",
     "UNKNOWN_COST_S",
     "estimate",
-    "has_estimator",
-    "register_estimator",
 ]
 
 #: Price of a backend nothing knows how to estimate: ranks last, always.
@@ -56,7 +54,7 @@ UNKNOWN_COST_S = float("inf")
 
 
 class CostModelError(ValueError):
-    """Invalid launch spec or estimator registration."""
+    """Invalid launch spec."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -156,30 +154,12 @@ _ESTIMATORS: dict[str, Callable[[LaunchSpec], float]] = {
 }
 
 
-def register_estimator(
-    name: str, fn: Callable[[LaunchSpec], float], *, replace: bool = False
-) -> None:
-    """Price a custom backend; mirrors backend-registry semantics."""
-    if not name:
-        raise CostModelError("estimator name must be non-empty")
-    if name in _ESTIMATORS and not replace:
-        raise CostModelError(
-            f"estimator for backend {name!r} already registered "
-            f"(pass replace=True to override)"
-        )
-    _ESTIMATORS[name] = fn
-
-
-def has_estimator(name: str) -> bool:
-    return name in _ESTIMATORS
-
-
 def estimate(backend: str, spec: LaunchSpec) -> float:
     """Seconds the named backend is expected to spend on ``spec``.
 
     Unknown backends price at :data:`UNKNOWN_COST_S` — they stay
-    dispatchable but rank behind every calibrated backend until an
-    estimator is registered or the autotune table observes them.
+    dispatchable but rank behind every calibrated backend until the
+    autotune table observes them.
     """
     fn = _ESTIMATORS.get(backend)
     if fn is None:

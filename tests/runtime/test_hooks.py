@@ -15,16 +15,7 @@ import pytest
 from repro.compile import PlanCache, grid_for, lower_mmo
 from repro.compile.lower import resolve_opcode
 from repro.core import SEMIRINGS
-from repro.hooks import (
-    CacheStatsHook,
-    Hook,
-    HookError,
-    emit_event,
-    get_hook,
-    list_hooks,
-    register_hook,
-    resolve_hook,
-)
+from repro.hooks import CacheStatsHook, Hook, emit_event
 from repro.hw import Simd2Device
 from repro.runtime import (
     ExecutionContext,
@@ -238,45 +229,13 @@ class TestHookTeardown:
 
 
 # ----------------------------------------------------------------------
-# Registry, hot path, and the event channel.
+# Custom-hook metering, hot path, and the event channel.
 
 
-class TestRegistry:
-    def test_builtins_registered(self):
-        assert {"validation", "fault", "trace", "cache-stats"} <= set(
-            list_hooks()
-        )
-
-    def test_unknown_name_raises_with_known_names(self):
-        with pytest.raises(HookError, match="unknown hook.*validation"):
-            get_hook("no-such-hook")
-
-    def test_conflicting_registration_rejected(self):
-        @register_hook(name="test-conflict-probe")
-        class Probe(Hook):
-            pass
-
-        with pytest.raises(HookError, match="test-conflict-probe"):
-
-            @register_hook(name="test-conflict-probe")
-            class Probe2(Hook):
-                pass
-
-        @register_hook(name="test-conflict-probe", replace=True)
-        class Probe3(Hook):
-            pass
-
-        assert get_hook("test-conflict-probe") is Probe3
-
-    def test_resolve_accepts_names_and_instances(self):
-        by_name = resolve_hook("cache-stats")
-        assert isinstance(by_name, CacheStatsHook)
-        inst = CacheStatsHook()
-        assert resolve_hook(inst) is inst
-
-    def test_context_accepts_hook_names(self, rng):
+class TestCacheStatsHook:
+    def test_context_meters_plan_cache_hits(self, rng):
         ctx = ExecutionContext(
-            plan_cache=PlanCache(), hooks=("cache-stats",)
+            plan_cache=PlanCache(), hooks=(CacheStatsHook(),)
         )
         a, b, c = make_ring_inputs(SEMIRINGS["min-plus"], 32, 16, 32, rng)
         mmo_tiled("min-plus", a, b, c, context=ctx)

@@ -15,6 +15,20 @@ def adjacency() -> np.ndarray:
     return distance_graph(GraphSpec(24, 0.15, seed=8))
 
 
+def _fp16_tie_weights(adjacency: np.ndarray) -> np.ndarray:
+    """Every edge weighs 1 + 2⁻¹¹ + 2⁻⁴⁰: fp16 rounds that up, but its
+    float32 cast is the tie 1 + 2⁻¹¹, which fp16 rounds down."""
+    weights = adjacency.astype(np.float64)
+    weights[np.isfinite(weights) & (weights > 0)] = 1 + 2**-11 + 2**-40
+    return weights
+
+
+def _nan_entry(adjacency: np.ndarray) -> np.ndarray:
+    poisoned = adjacency.astype(np.float64)
+    poisoned[0, 3] = np.nan
+    return poisoned
+
+
 class TestBufferLifecycle:
     def test_upload_download_round_trip(self, adjacency):
         host = HostRuntime()
@@ -84,6 +98,24 @@ class TestHostClosure:
         outcome = host.run_closure("min-plus", "dist", convergence_check=False)
         assert not outcome.converged
         assert "check" not in host.event_kinds()
+
+    @pytest.mark.parametrize(
+        "make_buffer", [_fp16_tie_weights, _nan_entry], ids=["fp16-tie", "nan"]
+    )
+    def test_float64_buffer_agrees_with_library_closure(
+        self, adjacency, make_buffer
+    ):
+        # The host runs closure()'s loop: the buffer is cast to the ring's
+        # output dtype before the first launch, and a NaN fixpoint is a
+        # fixpoint.
+        buffer = make_buffer(adjacency)
+        host = HostRuntime(backend="vectorized")
+        host.upload("dist", buffer, dtype=np.float64)
+        outcome = host.run_closure("min-plus", "dist")
+        library = closure("min-plus", buffer, backend="vectorized")
+        np.testing.assert_array_equal(outcome.matrix, library.matrix)
+        assert outcome.iterations == library.iterations
+        assert outcome.converged == library.converged
 
     def test_non_square_buffer_rejected(self):
         host = HostRuntime()

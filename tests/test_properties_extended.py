@@ -9,7 +9,16 @@ from repro.compile.lower import build_tile_mmo_program
 from repro.core import SEMIRINGS, SemiringMatrix, mmo
 from repro.isa import MmoOpcode, Program, assemble, disassemble, verify_program
 from repro.isa.optimizer import optimize_program
-from repro.runtime import closure, mmo_tiled, mmo_tiled_split_k, vxm
+from repro.hw import Simd2Device
+from repro.resilience import resilient_closure
+from repro.runtime import (
+    ExecutionContext,
+    HostRuntime,
+    closure,
+    mmo_tiled,
+    mmo_tiled_split_k,
+    vxm,
+)
 from repro.runtime.batched import batched_mmo
 
 seeds = st.integers(0, 2**32 - 1)
@@ -53,6 +62,34 @@ class TestClosureAcrossRings:
         ley = closure(name, adj, method="leyzorek")
         bf = closure(name, adj, method="bellman-ford")
         np.testing.assert_array_equal(ley.matrix, bf.matrix)
+
+    @given(
+        st.sampled_from(IDEMPOTENT),
+        st.sampled_from(("leyzorek", "bellman-ford")),
+        st.integers(3, 40),
+        seeds,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_closure_drivers_agree(self, name, method, n, seed):
+        adj = _closure_input(name, n, seed)
+        ctx = ExecutionContext(backend="vectorized")
+        host = HostRuntime(context=ctx)
+        host.upload("dist", adj)
+        results = [
+            closure(name, adj, method=method, context=ctx),
+            host.run_closure(name, "dist", method=method),
+            resilient_closure(name, adj, method=method, context=ctx),
+            resilient_closure(
+                name, adj, method=method, context=ctx,
+                devices=[Simd2Device(), Simd2Device()],
+            ),
+        ]
+        reference = results[0]
+        for result in results:
+            np.testing.assert_array_equal(result.matrix, reference.matrix)
+            assert result.iterations == reference.iterations
+            assert result.converged == reference.converged
+            assert result.mmo_calls == len(result.kernel_stats)
 
 
 class TestSemiringMatrixProperties:
