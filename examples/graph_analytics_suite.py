@@ -37,16 +37,17 @@ from repro.timing import APP_SIZES, APPS, app_times
 
 
 def main() -> None:
-    spec = GraphSpec(num_vertices=56, edge_probability=0.1, seed=123)
+    spec = GraphSpec(num_vertices=150, edge_probability=0.1, seed=123)
     print(f"graph workloads: {spec.num_vertices} vertices, p={spec.edge_probability}\n")
 
     # --- reachability: or-and ------------------------------------------
     adj = boolean_graph(spec, reflexive=False)
     base = gtc_baseline(adj)
-    simd = gtc_simd2(adj)
+    simd = gtc_simd2(adj, method="blocked")
     assert np.array_equal(base.reachable, simd.reachable)
     print(f"or-and   GTC   : {simd.reachable.mean():5.1%} of pairs connected "
-          f"({simd.closure_result.iterations} iterations)")
+          f"({simd.closure_result.method} closure, "
+          f"{simd.closure_result.iterations} rounds)")
 
     # --- shortest paths: min-plus --------------------------------------
     dist_adj = distance_graph(spec)

@@ -12,7 +12,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.apps.floyd_warshall import FwStats, blocked_floyd_warshall
+from repro.apps.floyd_warshall import FwStats, _reject_nan, blocked_floyd_warshall
 from repro.runtime.closure import ClosureResult, closure
 
 __all__ = ["AplpResult", "aplp_baseline", "aplp_simd2", "dag_longest_path_dp"]
@@ -31,6 +31,7 @@ def _validate_maxplus_adjacency(adjacency: np.ndarray) -> np.ndarray:
     adjacency = np.asarray(adjacency, dtype=np.float64)
     if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
         raise ValueError(f"adjacency must be square, got {adjacency.shape}")
+    _reject_nan(adjacency)
     if np.any(np.diag(adjacency) != 0.0):
         raise ValueError("max-plus adjacency must have a zero diagonal")
     finite = np.isfinite(adjacency)
@@ -72,7 +73,7 @@ def dag_longest_path_dp(adjacency: np.ndarray) -> np.ndarray:
 def aplp_simd2(
     adjacency: np.ndarray,
     *,
-    method: str = "leyzorek",
+    method: str = "blocked",
     convergence_check: bool = True,
     backend: str | None = None,
     max_iterations: int | None = None,

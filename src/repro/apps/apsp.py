@@ -1,9 +1,10 @@
 """All-Pairs Shortest Path (APSP) — the paper's min-plus application.
 
 Baseline: the phase-based tiled Floyd–Warshall of ECL-APSP, reimplemented
-in :mod:`repro.apps.floyd_warshall`.  SIMD² version: the Figure 7 host
-loop — min-plus closure with Leyzorek squaring (or all-pairs Bellman-Ford)
-and an optional convergence check.
+in :mod:`repro.apps.floyd_warshall`.  SIMD² version: min-plus blocked
+closure — the same three phases as 64-vertex rounds of mmo launches — or,
+on request, the Figure 7 host loop with Leyzorek squaring or all-pairs
+Bellman-Ford; each with an optional convergence check.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.apps.floyd_warshall import FwStats, blocked_floyd_warshall
+from repro.apps.floyd_warshall import FwStats, _reject_nan, blocked_floyd_warshall
 from repro.runtime.closure import ClosureResult, closure
 
 __all__ = ["ApspResult", "apsp_baseline", "apsp_simd2"]
@@ -31,6 +32,7 @@ def _validate_minplus_adjacency(adjacency: np.ndarray) -> np.ndarray:
     adjacency = np.asarray(adjacency, dtype=np.float64)
     if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
         raise ValueError(f"adjacency must be square, got {adjacency.shape}")
+    _reject_nan(adjacency)
     if np.any(np.diag(adjacency) != 0.0):
         raise ValueError("min-plus adjacency must have a zero diagonal")
     if np.any(adjacency < 0):
@@ -48,7 +50,7 @@ def apsp_baseline(adjacency: np.ndarray, *, block: int = 16) -> ApspResult:
 def apsp_simd2(
     adjacency: np.ndarray,
     *,
-    method: str = "leyzorek",
+    method: str = "blocked",
     convergence_check: bool = True,
     backend: str | None = None,
     max_iterations: int | None = None,

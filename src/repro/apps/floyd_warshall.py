@@ -26,16 +26,6 @@ from repro.core.semiring import Semiring, SemiringError
 
 __all__ = ["FwStats", "floyd_warshall", "blocked_floyd_warshall"]
 
-_IDEMPOTENT_RINGS = {
-    "min-plus",
-    "max-plus",
-    "min-mul",
-    "max-mul",
-    "min-max",
-    "max-min",
-    "or-and",
-}
-
 
 @dataclasses.dataclass(frozen=True)
 class FwStats:
@@ -53,12 +43,24 @@ class FwStats:
 
 
 def _check_ring(ring: Semiring) -> Semiring:
-    if ring.name not in _IDEMPOTENT_RINGS:
+    if not ring.is_idempotent():
         raise SemiringError(
             f"Floyd–Warshall requires an idempotent ⊕; semiring {ring.name!r} "
             "is not supported"
         )
     return ring
+
+
+def _reject_nan(weights: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first NaN entry of ``weights``.
+
+    The closure apps' shared guard: a NaN weight is neither an edge nor a
+    non-edge, and a closure would spread it along every path through it.
+    """
+    nan = np.isnan(weights)
+    if nan.any():
+        i, j = np.argwhere(nan)[0]
+        raise ValueError(f"edge weights must not be NaN (first NaN at [{i}, {j}])")
 
 
 def _square_matrix(matrix: np.ndarray, ring: Semiring) -> np.ndarray:

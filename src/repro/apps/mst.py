@@ -15,6 +15,7 @@ import dataclasses
 
 import numpy as np
 
+from repro.apps.floyd_warshall import _reject_nan
 from repro.runtime.closure import ClosureResult, closure
 
 __all__ = ["MstResult", "UnionFind", "mst_baseline", "mst_simd2", "minimax_matrix"]
@@ -64,8 +65,7 @@ def _validate_weights(weights: np.ndarray) -> np.ndarray:
     weights = np.asarray(weights, dtype=np.float64)
     if weights.ndim != 2 or weights.shape[0] != weights.shape[1]:
         raise ValueError(f"weight matrix must be square, got {weights.shape}")
-    finite = np.isfinite(weights)
-    np.fill_diagonal(finite, True)
+    _reject_nan(weights)
     if not np.array_equal(weights, weights.T):
         raise ValueError("MST needs an undirected (symmetric) weight matrix")
     return weights
@@ -100,7 +100,7 @@ def mst_baseline(weights: np.ndarray) -> MstResult:
 def minimax_matrix(
     weights: np.ndarray,
     *,
-    method: str = "leyzorek",
+    method: str = "blocked",
     convergence_check: bool = True,
     backend: str | None = None,
     max_iterations: int | None = None,
@@ -126,7 +126,7 @@ def minimax_matrix(
 def mst_simd2(
     weights: np.ndarray,
     *,
-    method: str = "leyzorek",
+    method: str = "blocked",
     convergence_check: bool = True,
     backend: str | None = None,
     max_iterations: int | None = None,

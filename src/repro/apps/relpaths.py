@@ -23,7 +23,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.apps.floyd_warshall import FwStats, floyd_warshall
+from repro.apps.floyd_warshall import FwStats, _reject_nan, floyd_warshall
 from repro.core.registry import get_semiring
 from repro.runtime.closure import ClosureResult, closure
 
@@ -53,6 +53,7 @@ def _validated(adjacency: np.ndarray, ring_name: str) -> np.ndarray:
     adjacency = np.asarray(adjacency, dtype=np.float64)
     if adjacency.ndim != 2 or adjacency.shape[0] != adjacency.shape[1]:
         raise ValueError(f"adjacency must be square, got {adjacency.shape}")
+    _reject_nan(adjacency)
     if ring_name == "min-mul":
         finite_offdiag = np.isfinite(adjacency)
         np.fill_diagonal(finite_offdiag, False)
@@ -101,7 +102,7 @@ def max_capacity_baseline(adjacency: np.ndarray) -> PathClosureResult:
 def max_capacity_simd2(
     adjacency: np.ndarray,
     *,
-    method: str = "leyzorek",
+    method: str = "blocked",
     convergence_check: bool = True,
     backend: str | None = None,
     max_iterations: int | None = None,
@@ -125,7 +126,7 @@ def max_reliability_baseline(adjacency: np.ndarray) -> PathClosureResult:
 def max_reliability_simd2(
     adjacency: np.ndarray,
     *,
-    method: str = "leyzorek",
+    method: str = "blocked",
     convergence_check: bool = True,
     backend: str | None = None,
     max_iterations: int | None = None,
@@ -149,7 +150,7 @@ def min_reliability_baseline(adjacency: np.ndarray) -> PathClosureResult:
 def min_reliability_simd2(
     adjacency: np.ndarray,
     *,
-    method: str = "leyzorek",
+    method: str = "blocked",
     convergence_check: bool = True,
     backend: str | None = None,
     max_iterations: int | None = None,

@@ -100,7 +100,7 @@ def scc_baseline(adjacency: np.ndarray) -> SccResult:
 def scc_simd2(
     adjacency: np.ndarray,
     *,
-    method: str = "leyzorek",
+    method: str = "blocked",
     backend: str | None = None,
 ) -> SccResult:
     """SCC from one or-and closure: ``strong = R ∧ Rᵀ``."""

@@ -155,5 +155,13 @@ class Semiring:
         """True for the logical (or-and) ring."""
         return self.output_dtype == np.dtype(bool)
 
+    def is_idempotent(self) -> bool:
+        """True when ``⊕`` is a selection (min, max or or): ``x ⊕ x == x``.
+
+        Folds over such a ``⊕`` are exact in any order, which is what
+        Floyd–Warshall, blocked closure and exact ABFT checksums rely on.
+        """
+        return any(self.oplus is op for op in (np.minimum, np.maximum, np.logical_or))
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Semiring({self.name!r})"

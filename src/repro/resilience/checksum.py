@@ -61,9 +61,6 @@ __all__ = [
     "mmo_checksums",
 ]
 
-#: ⊕ callables whose fold comparison is exact (idempotent selections).
-_IDEMPOTENT_OPLUS = (np.minimum, np.maximum, np.logical_or)
-
 
 class ChecksumUnsupported(ResilienceError):
     """The ring's ⊗ does not distribute over ⊕ for these operands."""
@@ -151,7 +148,7 @@ class MmoChecksums:
 
     @property
     def exact(self) -> bool:
-        return any(self.semiring.oplus is op for op in _IDEMPOTENT_OPLUS)
+        return self.semiring.is_idempotent()
 
     def verify(self, d: np.ndarray) -> ChecksumReport:
         """Compare the launch result's folds against the expectations."""

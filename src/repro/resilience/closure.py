@@ -73,13 +73,15 @@ def resilient_closure(
 ) -> ResilientClosureResult:
     """Iterate ``D ← D ⊕ (D ⊗ X)`` to a fixpoint, surviving faults.
 
-    Shares :func:`~repro.runtime.closure.closure`'s iteration loop.
-    With ``devices`` the mmo is partitioned row-wise across them
+    Shares :func:`~repro.runtime.closure.closure`'s iteration loop, and
+    so its ``method`` schedules and semantics (``"blocked"`` included);
+    this driver supplies only the loop's ``C ⊕ (A ⊗ B)`` launch.  With
+    ``devices`` each launch is partitioned row-wise across them
     (:func:`~repro.runtime.multidevice.mmo_tiled_multi_device`) with
     ``checked`` bands and ``on_device_failure`` recovery; the
-    ``blacklist`` set persists across iterations, so a device that died
+    ``blacklist`` set persists across launches, so a device that died
     in iteration 2 is never asked again in iteration 3.  Without
-    ``devices`` each iteration runs through
+    ``devices`` each launch runs through
     :func:`~repro.resilience.policy.resilient_mmo` (retry + ``fallback``
     backend chain); bands never fall back, so passing ``fallback`` with
     ``devices`` raises :class:`~repro.resilience.faults.ResilienceError`.
@@ -101,24 +103,24 @@ def resilient_closure(
     blacklist = blacklist if blacklist is not None else set()
     shares: "tuple[DeviceShare, ...]" = ()
 
-    def step(
-        current: np.ndarray, operand: np.ndarray, iteration: int
+    def launch(
+        a: np.ndarray, b: np.ndarray, c: np.ndarray, check: bool, first_round: bool
     ) -> tuple[np.ndarray, list[KernelStats], bool]:
         nonlocal shares
-        # In-loop launches skip ring-input validation: iterates may carry
-        # NaN/±inf legitimately (fault studies, NaN fixpoints) — the
-        # watchdog and ABFT checksums own in-loop poison detection.
+        # Launches skip ring-input validation: iterates may carry NaN/±inf
+        # legitimately (fault studies, NaN fixpoints) — the watchdog and
+        # ABFT checksums own in-loop poison detection.
         if devices is None:
-            updated, stats = resilient_mmo(
-                ring, current, operand, current,
+            d, stats = resilient_mmo(
+                ring, a, b, c,
                 context=ctx, retry=retry, fallback=fallback,
                 checked=checked, rtol=rtol, atol=atol,
                 api="resilient_closure", validate_inputs=False,
             )
             launched = [stats]
         else:
-            updated, share_list = mmo_tiled_multi_device(
-                ring, current, operand, current,
+            d, share_list = mmo_tiled_multi_device(
+                ring, a, b, c,
                 devices=devices, context=ctx,
                 checked=checked, retry=retry,
                 on_device_failure=on_device_failure,
@@ -127,10 +129,10 @@ def resilient_closure(
             )
             shares = tuple(share_list)
             launched = [share.stats for share in shares]
-        return updated, launched, convergence_check and matrices_equal(updated, current)
+        return d, launched, check and matrices_equal(d, c)
 
     result = _iterate(
-        ring, adjacency, step,
+        ring, adjacency, launch,
         context=ctx, api="resilient_closure", method=method,
         convergence_check=convergence_check, max_iterations=max_iterations,
         watchdog=watchdog,

@@ -1,7 +1,8 @@
 """Semiring closure iteration — the host-side loop of the paper's Figure 7.
 
-Graph problems solved with SIMD² iterate a whole-matrix mmo until a
-fixpoint.  The paper discusses three iteration policies (Sections 4, 6.4):
+Graph problems solved with SIMD² iterate mmo launches until a fixpoint.
+The paper discusses three iteration policies (Sections 4, 6.4); this
+module adds the blocked schedule of its APSP baseline:
 
 - **All-pairs Bellman-Ford**: ``D ← D ⊕ (D ⊗ A)`` — one relaxation per
   step; needs up to ``|V|`` iterations (the graph diameter with a
@@ -12,10 +13,15 @@ fixpoint.  The paper discusses three iteration policies (Sections 4, 6.4):
 - either of the above **with a convergence check**: a CUDA-core
   element-wise comparison after every mmo that terminates the loop as
   soon as the matrix stops changing.
+- **Blocked** (ECL-APSP's tiled Floyd–Warshall, idempotent rings only):
+  one round per :data:`BLOCK`-vertex diagonal block ``K`` closes
+  ``D[K,K]`` by squaring, then applies the rank-``BLOCK`` update
+  ``D ← D ⊕ (D[:,K] ⊗ D[K,K]* ⊗ D[K,:])`` as two launches — about one
+  ``n³`` pass in total.
 
-:func:`closure` implements all three and reports iteration/mmo statistics,
-which both the applications (for validation) and the timing model (for
-Figures 11–12) consume.
+:func:`closure` implements all of them and reports iteration/mmo
+statistics, which both the applications (for validation) and the timing
+model (for Figures 11–12) consume.
 """
 
 from __future__ import annotations
@@ -37,7 +43,26 @@ from repro.runtime.kernels import KernelStats
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.resilience.watchdog import ClosureDiagnostics, ClosureWatchdog
 
-__all__ = ["ClosureResult", "closure", "matrices_equal", "max_iterations_for"]
+__all__ = [
+    "BLOCK",
+    "ClosureResult",
+    "closure",
+    "matrices_equal",
+    "max_iterations_for",
+]
+
+#: Vertices per diagonal block of ``method="blocked"`` (four 16-wide tiles).
+BLOCK = 64
+
+#: One ``D = C ⊕ (A ⊗ B)`` launch, as a closure driver supplies it:
+#: ``launch(a, b, c, check, first_round)`` returns ``D``, the statistics of
+#: the kernel launches that produced it, and — when ``check`` — whether
+#: ``D`` equals ``C``.  ``first_round`` marks the launches of the first
+#: iteration (the ones ``validate_inputs`` applies to).
+Launch = Callable[
+    [np.ndarray, np.ndarray, np.ndarray, bool, bool],
+    tuple[np.ndarray, list[KernelStats], bool],
+]
 
 
 def matrices_equal(x: np.ndarray, y: np.ndarray) -> bool:
@@ -58,10 +83,13 @@ def matrices_equal(x: np.ndarray, y: np.ndarray) -> bool:
 class ClosureResult:
     """Outcome of a closure iteration.
 
-    ``diagnostics`` is ``None`` unless a watchdog observed the run (a
-    healthy summary when the loop completed normally, or the structured
-    reason — NaN poisoning, non-monotone progress, oscillation — when
-    the watchdog terminated it early) or a budget brownout stopped it
+    ``iterations`` counts loop steps (rounds for ``method="blocked"``),
+    ``mmo_calls == len(kernel_stats)`` counts launches, and
+    ``convergence_checks`` counts the checks that ran.  ``diagnostics``
+    is ``None`` unless a watchdog observed the run (a healthy summary
+    when the loop completed normally, or the structured reason — NaN
+    poisoning, non-monotone progress, oscillation — when the watchdog
+    terminated it early) or a budget brownout stopped it
     (``reason="budget_exhausted"``); in both early-stop cases
     ``converged`` is False.
     """
@@ -81,13 +109,22 @@ class ClosureResult:
 
 
 def max_iterations_for(method: str, num_vertices: int) -> int:
-    """Worst-case iteration bound per iteration policy (paper Section 6.4)."""
+    """Worst-case iteration bound per iteration policy (paper Section 6.4).
+
+    Bellman-Ford needs ``|V|`` relaxations and Leyzorek ``⌈log₂|V|⌉``
+    squarings; blocked closure runs ``⌈|V| / BLOCK⌉`` rounds, each of
+    which squares its diagonal block up to Leyzorek's bound for the
+    block.  A convergence check adds one observing iteration to the
+    first two and one squaring per block to the third.
+    """
     if num_vertices <= 1:
         return 1
     if method == "bellman-ford":
         return num_vertices
     if method == "leyzorek":
         return max(1, math.ceil(math.log2(num_vertices)))
+    if method == "blocked":
+        return math.ceil(num_vertices / BLOCK)
     raise SemiringError(f"unknown closure method {method!r}")
 
 
@@ -95,16 +132,26 @@ def _iteration_limit(
     method: str, shape: tuple[int, ...], convergence_check: bool,
     max_iterations: int | None,
 ) -> int:
-    """Validate a closure's matrix shape and method; return its loop bound."""
+    """Validate a closure's matrix shape and method; return its loop bound.
+
+    ``max_iterations`` replaces the :func:`max_iterations_for` bound,
+    which gains one observing iteration for Leyzorek and Bellman-Ford
+    when the convergence check is on.  Blocked closure never runs more
+    than its ``⌈n / BLOCK⌉`` rounds, whatever the cap.
+    """
     if len(shape) != 2 or shape[0] != shape[1]:
         raise SemiringError(f"closure needs a square matrix, got shape {shape}")
-    if method not in ("leyzorek", "bellman-ford"):
+    if method not in ("leyzorek", "bellman-ford", "blocked"):
         raise SemiringError(f"unknown closure method {method!r}")
-    # With a convergence check one extra iteration *observes* the fixpoint.
-    limit = (
-        max_iterations if max_iterations is not None
-        else max_iterations_for(method, shape[0]) + int(convergence_check)
-    )
+    bound = max_iterations_for(method, shape[0])
+    if method == "blocked":
+        limit = bound if max_iterations is None else min(max_iterations, bound)
+    else:
+        # With a convergence check one extra iteration *observes* the fixpoint.
+        limit = (
+            max_iterations if max_iterations is not None
+            else bound + int(convergence_check)
+        )
     if limit <= 0:
         raise SemiringError(f"max_iterations must be positive, got {limit}")
     return limit
@@ -113,9 +160,7 @@ def _iteration_limit(
 def _iterate(
     ring: Semiring,
     adjacency: np.ndarray,
-    step: Callable[
-        [np.ndarray, np.ndarray, int], tuple[np.ndarray, list[KernelStats], bool]
-    ],
+    launch: Launch,
     *,
     context: ExecutionContext,
     api: str,
@@ -129,19 +174,23 @@ def _iterate(
     :meth:`~repro.runtime.host.HostRuntime.run_closure`) and
     :func:`~repro.resilience.closure.resilient_closure`.
 
-    The loop owns the bound, the watchdog, the convergence check and the
-    budget brownout; ``step(current, operand, iteration)`` runs one
-    iteration and returns the new iterate, its launches' kernel
-    statistics, and whether the iterate equals ``current``.
+    The loop owns the schedule of every method — which ``A``, ``B`` and
+    ``C`` each launch reads, the bound, the watchdog, the convergence
+    check and the budget brownout.  A driver supplies only ``launch``,
+    one ``C ⊕ (A ⊗ B)`` on its own substrate (see :data:`Launch`).
     """
     # Lazy: repro.resilience imports the runtime package.
     from repro.resilience.budget import BudgetError
     from repro.resilience.watchdog import ClosureDiagnostics, ClosureWatchdog
 
     current = np.asarray(adjacency, dtype=ring.output_dtype)
-    limit = _iteration_limit(
-        method, current.shape, convergence_check, max_iterations
-    )
+    limit = _iteration_limit(method, current.shape, convergence_check, max_iterations)
+    if method == "blocked" and not ring.is_idempotent():
+        raise SemiringError(
+            f"blocked closure requires an idempotent ⊕; semiring {ring.name!r} "
+            "is not supported"
+        )
+    n = current.shape[0]
     guard = None
     if watchdog:
         guard = watchdog if isinstance(watchdog, ClosureWatchdog) else ClosureWatchdog(ring)
@@ -150,15 +199,50 @@ def _iterate(
     )
 
     base = current.copy()
+    all_stats: list[KernelStats] = []
+    checks = 0
+    blocks_closed = True
+
+    def run(
+        a: np.ndarray, b: np.ndarray, c: np.ndarray, check: bool, first: bool
+    ) -> tuple[np.ndarray, bool]:
+        nonlocal checks
+        d, stats, same = launch(a, b, c, check, first)
+        all_stats.extend(stats)
+        checks += check
+        return d, same
+
+    def step(d: np.ndarray, index: int) -> tuple[np.ndarray, bool]:
+        """One iteration; returns the iterate and whether it is the closure."""
+        nonlocal blocks_closed
+        first = index == 0
+        if method == "leyzorek":
+            return run(d, d, d, convergence_check, first)
+        if method == "bellman-ford":
+            return run(d, base, d, convergence_check, first)
+        # A blocked round over K = [lo, hi): square D[K,K] to its fixpoint,
+        # form the row panel R = D[K,:] ⊕ (D[K,K]* ⊗ D[K,:]), then apply
+        # the rank-|K| update D ⊕ (D[:,K] ⊗ R).
+        lo, hi = index * BLOCK, min(n, (index + 1) * BLOCK)
+        block, closed = d[lo:hi, lo:hi], False
+        for _ in range(max_iterations_for("leyzorek", hi - lo) + int(convergence_check)):
+            block, closed = run(block, block, block, convergence_check, first)
+            if closed:
+                break
+        blocks_closed = blocks_closed and closed
+        if hi - lo == n:  # one block: the closed block is the matrix
+            return block, closed
+        rows = d[lo:hi]
+        panel, _ = run(block, rows, rows, False, first)
+        updated, _ = run(d[:, lo:hi], panel, d, False, first)
+        return updated, blocks_closed and hi == n
+
     converged = False
     iterations = 0
-    checks = 0
     diagnostics: "ClosureDiagnostics | None" = None
-    all_stats: list[KernelStats] = []
     for _ in range(limit):
-        operand = current if method == "leyzorek" else base
         try:
-            updated, stats, same = step(current, operand, iterations)
+            updated, fixpoint = step(current, iterations)
         except brownout as exc:
             # Best-effort degradation: keep the last completed iterate as
             # the partial fixpoint and flag it, instead of discarding the
@@ -171,7 +255,6 @@ def _iterate(
                 context, kind="brownout", api=api, detail=diagnostics.describe()
             )
             break
-        all_stats.extend(stats)
         iterations += 1
         if guard is not None:
             diagnostics = guard.observe(updated, current, iterations)
@@ -181,11 +264,9 @@ def _iterate(
                 context, kind="watchdog", api=api, detail=diagnostics.describe()
             )
             break
-        if convergence_check:
-            checks += 1
-            if same:
-                converged = True
-                break
+        if fixpoint:
+            converged = True
+            break
 
     if guard is not None and diagnostics is None:
         diagnostics = ClosureDiagnostics(
@@ -230,15 +311,16 @@ def closure(
         the problem's "self" value on the diagonal (0 for min-plus).
         Must be square.
     method:
-        ``"leyzorek"`` (squaring, ``X = D``) or ``"bellman-ford"``
-        (relaxation, ``X = D₀``).
+        ``"leyzorek"`` (squaring, ``X = D``), ``"bellman-ford"``
+        (relaxation, ``X = D₀``) or ``"blocked"`` (see below).
     convergence_check:
         Stop as soon as an iteration leaves the matrix unchanged.  Costs
-        one element-wise comparison per iteration (a pure CUDA-core
+        one element-wise comparison per checked launch (a pure CUDA-core
         kernel in the paper), which the result records.
     max_iterations:
-        Iteration cap; defaults to the method's worst case for the given
-        vertex count.
+        Iteration cap (rounds for ``"blocked"``); defaults to the
+        method's worst case for the given vertex count
+        (:func:`max_iterations_for`).
     backend / device / context:
         Execution configuration, resolved once up front (so an unknown
         backend fails before any iteration) and forwarded to
@@ -258,14 +340,14 @@ def closure(
         so per-iteration ring-input validation is **off** by default
         (the watchdog is the in-loop poison detector).  Pass ``True`` to
         reject a NaN / oppositely-signed-inf *initial* adjacency on the
-        first launch before iterating.
+        launches of the first iteration before iterating.
     bands:
-        Partition each iteration's output rows into this many
-        tile-aligned bands — independent launch nodes in the iteration's
+        Partition each launch's output rows into this many tile-aligned
+        bands — independent launch nodes in the launch's
         :class:`~repro.sched.graph.LaunchGraph`, which a thread-pool
         scheduler on the context runs concurrently.  Results are
         bit-identical for any band count (bands write disjoint rows).
-        The default ``1`` keeps one whole-matrix launch per iteration.
+        The default ``1`` keeps one whole-matrix launch per step.
     on_budget:
         What to do when the context's
         :class:`~repro.resilience.budget.ExecutionBudget` trips mid-run.
@@ -283,6 +365,54 @@ def closure(
     -------
     ClosureResult
         Final matrix plus iteration and instruction statistics.
+
+    Notes
+    -----
+    ``method="blocked"`` is the three-phase tiled Floyd–Warshall of the
+    paper's APSP baseline, for the seven rings whose ``⊕`` is idempotent
+    (plus-mul and plus-norm raise :class:`SemiringError` before any
+    launch).  Round ``r`` takes the diagonal block
+    ``K = [r·BLOCK, min(n, (r+1)·BLOCK))`` and
+
+    1. closes ``D[K,K]`` by squaring it (``D[K,K] ⊕ D[K,K] ⊗ D[K,K]``);
+    2. forms the row panel ``R = D[K,:] ⊕ (D[K,K]* ⊗ D[K,:])``, one
+       ``(b×b)·(b×n)`` launch;
+    3. applies ``D ← D ⊕ (D[:,K] ⊗ R)``, one ``(n×b)·(b×n)`` launch —
+
+    about one ``n³`` pass in all, against ``⌈log₂ d⌉ + 1`` for Leyzorek.
+    Its semantics:
+
+    - **Counters.** ``iterations`` counts rounds, ``⌈n / BLOCK⌉`` of
+      them; ``mmo_calls == len(kernel_stats)`` counts launches, including
+      those of a round that a brownout cut short; ``convergence_checks``
+      counts the checks that ran, all of them in step 1.
+    - **Convergence check on.** Each diagonal block is squared until a
+      launch leaves it unchanged, at most ``⌈log₂ b⌉ + 1`` launches.
+      ``converged`` is True only if every round's block reached its
+      fixpoint; after the last round the matrix is then the closure, so
+      no whole-matrix check runs.  A positive max-plus cycle shows up as
+      a block that never closes (``converged=False``), like
+      Floyd–Warshall's diagonal test.
+    - **Convergence check off.** Each block takes ``⌈log₂ b⌉``
+      squarings, and ``converged`` stays False, as for Leyzorek.
+    - **Partial results.** After ``r`` rounds — stopped by
+      ``max_iterations`` or by a budget brownout — the matrix equals
+      Floyd–Warshall over the intermediates ``0 … min(n, r·BLOCK) − 1``.
+    - **n ≤ BLOCK.** One round whose block is the whole matrix: exactly
+      Leyzorek's launches and checks, and no panel launches.
+    - **Input validation.** ``validate_inputs=True`` applies to every
+      launch of round 0.  Its rank-``BLOCK`` update reads all of ``D₀``
+      as its accumulator, so a NaN anywhere in ``D₀`` is rejected; an
+      oppositely-signed infinity is an operand error only where round 0
+      reads it as ``A`` or ``B``, in the first block's rows and columns.
+    - **Precision.** When every path value is fp16-exact (as with the
+      benchmark inputs' grid weights and ±inf "no edge"), every method is
+      bit-identical to :func:`~repro.apps.floyd_warshall.floyd_warshall`.
+      On max-mul and min-mul the products are not fp16-exact and each
+      method re-quantises at different points, so every method differs
+      from Floyd–Warshall in the low bits: the largest relative error
+      stays within ``1e-2`` while path values stay in fp16's normal range
+      (at least ``2⁻¹⁴``).
     """
     ring = get_semiring(ring)
     ctx = resolve_context(context, backend=backend, device=device)
@@ -292,9 +422,10 @@ def closure(
         raise SemiringError(
             f"on_budget must be 'raise' or 'brownout', got {on_budget!r}"
         )
-    # Each iteration is a LaunchGraph (band launches + the NaN-safe
-    # check node); the ArtifactPool outlives it, so a cold cache shows
-    # one compile miss, then hits.  Lazy: repro.sched runs our loops.
+    # Each launch is a LaunchGraph (band launches + the NaN-safe check
+    # node); the ArtifactPool outlives it, so a cold cache shows one
+    # compile miss per launch shape, then hits.  Lazy: repro.sched runs
+    # our loops.
     from repro.sched.builders import ArtifactPool, closure_step_graph
     from repro.sched.executor import resolve_scheduler
 
@@ -302,16 +433,17 @@ def closure(
     pool = ArtifactPool(ctx, "closure")
     scheduler = resolve_scheduler(ctx)
 
-    def step(
-        current: np.ndarray, operand: np.ndarray, iteration: int
+    def launch(
+        a: np.ndarray, b: np.ndarray, c: np.ndarray, check: bool, first_round: bool
     ) -> tuple[np.ndarray, list[KernelStats], bool]:
-        # Only the first launch sees the caller's validate_inputs choice;
-        # replays iterate whatever the ring produced (NaN fixpoints and
-        # injected faults included — the watchdog owns in-loop detection).
+        # Only the first round sees the caller's validate_inputs choice;
+        # later rounds iterate whatever the ring produced (NaN fixpoints
+        # and injected faults included — the watchdog owns in-loop
+        # detection).
         graph, out_ref, check_ref, launch_refs = closure_step_graph(
-            ctx, pool, opcode, current, operand,
-            bands=bands, convergence_check=convergence_check,
-            validate_inputs=validate_inputs and iteration == 0,
+            ctx, pool, opcode, a, b, c,
+            bands=bands, convergence_check=check,
+            validate_inputs=validate_inputs and first_round,
         )
         result = scheduler.run(graph, context=ctx)
         return (
@@ -321,7 +453,7 @@ def closure(
         )
 
     return _iterate(
-        ring, adjacency, step,
+        ring, adjacency, launch,
         context=ctx, api="closure", method=method,
         convergence_check=convergence_check, max_iterations=max_iterations,
         watchdog=watchdog, on_budget=on_budget,

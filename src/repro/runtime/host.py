@@ -128,7 +128,10 @@ class HostRuntime:
         the first launch, and a NaN fixpoint counts as a fixpoint — then
         leaves the final matrix in the adjacency buffer (in the buffer's
         own dtype) and logs one ``mmo_launch`` per iteration, each
-        followed by a ``check`` when the convergence check ran.
+        followed by a ``check`` when the convergence check ran.  For
+        ``method="blocked"`` an iteration is a round of several launches
+        and checks, so the timeline shows one ``mmo_launch`` (and at most
+        one ``check``) per round.
         """
         ring = get_semiring(ring)
         dist = self.device.global_memory[adjacency_name]

@@ -1,7 +1,7 @@
 """Execution graphs and scheduling for loop-shaped SIMD² dispatch.
 
 The lower-then-schedule split applied *across* launches: every
-loop-shaped entry point in :mod:`repro.runtime` (closure iterations,
+loop-shaped entry point in :mod:`repro.runtime` (closure launches,
 which :meth:`~repro.runtime.host.HostRuntime.run_closure` also runs,
 :func:`~repro.runtime.batched.batched_mmo`, split-k,
 :func:`~repro.runtime.multidevice.mmo_tiled_multi_device`) lowers its work

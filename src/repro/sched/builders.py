@@ -57,8 +57,9 @@ class ArtifactPool:
     reports that compile's cache-hit flag; repeat requests return the
     memoised artifact with ``hit=True`` — the replay signature.  Pools
     outlive a single graph on purpose: a closure loop keeps one pool
-    across iterations, so iteration 0 reports the cold-cache miss and
-    every later iteration a hit, exactly like the pre-graph loop.
+    across launches, so the first launch of each shape reports the
+    cold-cache miss and every later one a hit, exactly like the
+    pre-graph loop.
 
     The artifact is backend-agnostic, so every context gets one,
     ``backend="auto"`` included (its nodes re-plan per replay).  Only
@@ -215,64 +216,64 @@ def closure_step_graph(
     context: "ExecutionContext",
     pool: ArtifactPool,
     opcode: MmoOpcode,
-    current: np.ndarray,
-    operand: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    c: np.ndarray,
     *,
     bands: int = 1,
     convergence_check: bool = False,
     validate_inputs: bool = False,
 ) -> tuple[LaunchGraph, Ref, Ref | None, list[Ref]]:
-    """Lower one closure iteration ``D ⊕ (D ⊗ X)`` (optionally banded).
+    """Lower one closure launch ``C ⊕ (A ⊗ B)`` (optionally banded).
 
-    With ``bands == 1`` this is exactly the pre-graph iteration: one
-    whole-matrix launch plus an optional convergence check.  With more
-    bands, output rows are partitioned on tile boundaries into
-    independent launches (each band computes ``D[r] ⊕ (D[r] ⊗ X)``) and
-    gathered — the "deterministic parallel launch" the ROADMAP called
-    for, bit-identical because every band's rows are disjoint.
+    :func:`~repro.runtime.closure.closure` runs every launch of every
+    method through this one builder — a Leyzorek squaring is
+    ``A = B = C = D``, a blocked round's panel and rank-64 update pass
+    their blocks.  With ``bands == 1`` it is one whole launch plus an
+    optional convergence check that compares the output against ``C``.
+    With more bands, the rows of ``A`` and ``C`` are partitioned on tile
+    boundaries into independent launches (each band computes
+    ``C[r] ⊕ (A[r] ⊗ B)``) and gathered — bit-identical because every
+    band's rows are disjoint.
 
     The caller owns the :class:`ArtifactPool` so compile state persists
-    across iterations.  Returns ``(graph, output ref, check ref or
-    None, per-band launch refs)``.
+    across launches.  Returns ``(graph, output ref, check ref or None,
+    per-band launch refs)``.
     """
     from repro.backends.tiling import partition_bands  # lazy: layered above
 
     semiring = opcode.semiring
-    n = current.shape[0]
+    m, k = a.shape
+    n = b.shape[1]
     builder = GraphBuilder(context, "closure")
-    cur_ref = builder.constant(current)
-    op_ref = builder.constant(operand)
-    windows = [w for w in partition_bands(n, bands, tile=TILE) if w[1] > w[0]]
+    a_ref, b_ref, c_ref = builder.constant(a), builder.constant(b), builder.constant(c)
+    windows = [w for w in partition_bands(m, bands, tile=TILE) if w[1] > w[0]]
     if not windows:
-        windows = [(0, n)]
+        windows = [(0, m)]
     launch_refs: list[Ref] = []
     pieces: list[tuple[int, int, Ref]] = []
     for row_start, row_stop in windows:
         rows = row_stop - row_start
-        compiled, hit = pool.artifact(opcode, rows, n, n, has_accumulator=True)
-        band_cur = (
-            cur_ref
-            if rows == n
-            else cur_ref.window(rows=(row_start, row_stop))
-        )
+        compiled, hit = pool.artifact(opcode, rows, n, k, has_accumulator=True)
+        whole = rows == m
         ref = builder.launch(
             opcode,
-            band_cur,
-            op_ref,
-            band_cur,
+            a_ref if whole else a_ref.window(rows=(row_start, row_stop)),
+            b_ref,
+            c_ref if whole else c_ref.window(rows=(row_start, row_stop)),
             compiled=compiled,
             cache_hit=hit,
             validate_inputs=validate_inputs,
         )
         launch_refs.append(ref)
         pieces.append((row_start, row_stop, ref))
-    if len(pieces) == 1 and pieces[0][:2] == (0, n):
+    if len(pieces) == 1 and pieces[0][:2] == (0, m):
         out_ref = pieces[0][2]
     else:
         out_ref = builder.gather(
-            (n, n), semiring.output_dtype, tuple(pieces)
+            (m, n), semiring.output_dtype, tuple(pieces)
         )
-    check_ref = builder.check(out_ref, cur_ref) if convergence_check else None
+    check_ref = builder.check(out_ref, c_ref) if convergence_check else None
     return builder.build(), out_ref, check_ref, launch_refs
 
 

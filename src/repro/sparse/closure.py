@@ -109,9 +109,12 @@ def sparse_closure(
 
     Same contract as :func:`repro.runtime.closure.closure` with the dense
     matrix replaced by a :class:`~repro.sparse.csr.CsrMatrix` whose
-    implicit value is the ring's ⊕ identity.
+    implicit value is the ring's ⊕ identity.  Only the Leyzorek and
+    Bellman-Ford policies are implemented over CSR.
     """
     ring = get_semiring(ring)
+    if method == "blocked":
+        raise SemiringError("sparse_closure supports leyzorek and bellman-ford only")
     limit = _iteration_limit(
         method, adjacency.shape, convergence_check, max_iterations
     )

@@ -192,12 +192,45 @@ class TestMst:
             mst_baseline(weights)
 
 
+class TestNanWeights:
+    @pytest.mark.parametrize(
+        "app, graph",
+        [
+            (apsp_simd2, distance_graph),
+            (aplp_simd2, dag_distance_graph),
+            (max_capacity_simd2, capacity_graph),
+            (mst_simd2, undirected_distance_graph),
+        ],
+        ids=["apsp", "aplp", "max_capacity", "mst"],
+    )
+    def test_nan_edge_rejected(self, app, graph):
+        # A NaN weight would spread along every path through it; the apps
+        # reject it up front instead of returning a NaN "closure".
+        weights = graph(GraphSpec(20, 0.2, seed=5))
+        weights[2, 7] = weights[7, 2] = np.nan
+        if app is aplp_simd2:
+            weights[7, 2] = -np.inf  # keep the DAG's lower triangle empty
+        with pytest.raises(ValueError, match=r"NaN \(first NaN at \[2, 7\]\)"):
+            app(weights)
+
+
 class TestGtc:
     def test_simd2_matches_bfs(self):
         adj = boolean_graph(SPEC, reflexive=False)
         base = gtc_baseline(adj)
         simd = gtc_simd2(adj)
         np.testing.assert_array_equal(simd.reachable, base.reachable)
+
+    def test_leyzorek_default_and_blocked_agree(self):
+        # 150 vertices: three blocked rounds, panel launches included.
+        adj = boolean_graph(GraphSpec(150, 0.02, seed=5), reflexive=False)
+        base = gtc_baseline(adj).reachable
+        default = gtc_simd2(adj)
+        blocked = gtc_simd2(adj, method="blocked")
+        assert default.closure_result.method == "leyzorek"
+        assert blocked.closure_result.iterations == 3
+        np.testing.assert_array_equal(default.reachable, base)
+        np.testing.assert_array_equal(blocked.reachable, base)
 
     def test_networkx_cross_check(self):
         import networkx as nx

@@ -38,10 +38,12 @@ class TestGridWorkloads:
     def test_grid_needs_more_leyzorek_iterations_than_er(self):
         # Diameter 9+9=18 on a 10x10 grid vs ~3 for an ER graph: the
         # convergence check must reflect that.
-        grid = apsp_simd2(grid_distance_graph(10, 10))
+        grid = apsp_simd2(grid_distance_graph(10, 10), method="leyzorek")
         from repro.datasets import distance_graph
 
-        er = apsp_simd2(distance_graph(GraphSpec(100, 0.16, seed=0)))
+        er = apsp_simd2(
+            distance_graph(GraphSpec(100, 0.16, seed=0)), method="leyzorek"
+        )
         assert grid.closure_result.iterations > er.closure_result.iterations
 
     def test_bellman_ford_iterations_track_grid_diameter(self):

@@ -5,8 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.apps.floyd_warshall import floyd_warshall
 from repro.core import SemiringError
-from repro.runtime import closure, max_iterations_for
+from repro.datasets import GraphSpec, distance_graph, reliability_graph
+from repro.resilience import ExecutionBudget
+from repro.runtime import ExecutionContext, closure, max_iterations_for
+from repro.runtime.closure import BLOCK
 
 
 def _path_graph_minplus(n: int) -> np.ndarray:
@@ -32,6 +36,9 @@ class TestIterationBounds:
         assert max_iterations_for("leyzorek", 10) == 4
         assert max_iterations_for("leyzorek", 1) == 1
         assert max_iterations_for("bellman-ford", 0) == 1
+        assert max_iterations_for("blocked", 64) == 1
+        assert max_iterations_for("blocked", 65) == 2
+        assert max_iterations_for("blocked", 768) == 12
 
     def test_unknown_method(self):
         with pytest.raises(SemiringError, match="unknown closure method"):
@@ -217,3 +224,108 @@ class TestWatchdogIntegration:
         guard = ClosureWatchdog("min-plus", check_oscillation=False)
         result = closure("min-plus", _path_graph_minplus(6), watchdog=guard)
         assert result.diagnostics is not None and result.diagnostics.healthy
+
+
+def _fw_prefix(adjacency: np.ndarray, stop: int) -> np.ndarray:
+    """Min-plus Floyd–Warshall over the intermediates ``0 … stop − 1`` only."""
+    dist = np.asarray(adjacency, dtype=np.float32)
+    for k in range(stop):
+        dist = np.minimum(dist, dist[:, k : k + 1] + dist[k : k + 1, :])
+    return dist
+
+
+class TestBlocked:
+    ADJ = distance_graph(GraphSpec(200, 0.03, 4))
+
+    def _assert_fw_prefix(self, result) -> None:
+        stop = min(200, BLOCK * result.iterations)
+        np.testing.assert_array_equal(result.matrix, _fw_prefix(self.ADJ, stop))
+        assert not result.converged
+
+    @pytest.mark.parametrize("rounds", [1, 2, 3])
+    def test_round_cap_leaves_a_floyd_warshall_prefix(self, rounds):
+        result = closure("min-plus", self.ADJ, method="blocked", max_iterations=rounds)
+        assert result.iterations == rounds
+        self._assert_fw_prefix(result)
+
+    @pytest.mark.parametrize("launches, rounds", [(10, 1), (20, 3)])
+    def test_brownout_leaves_a_floyd_warshall_prefix(self, launches, rounds):
+        ctx = ExecutionContext(budget=ExecutionBudget(max_launches=launches))
+        result = closure(
+            "min-plus", self.ADJ, method="blocked", context=ctx, on_budget="brownout"
+        )
+        assert result.diagnostics is not None
+        assert result.diagnostics.reason == "budget_exhausted"
+        assert result.iterations == rounds  # the budget ran out mid-round
+        self._assert_fw_prefix(result)
+
+    def test_full_run_is_the_closure(self):
+        result = closure("min-plus", self.ADJ, method="blocked")
+        assert result.converged
+        assert result.iterations == 4
+        assert result.mmo_calls == len(result.kernel_stats)
+        np.testing.assert_array_equal(result.matrix, _fw_prefix(self.ADJ, 200))
+
+    @pytest.mark.parametrize("check", [True, False])
+    def test_one_block_issues_leyzorek_launches(self, check):
+        adj = _path_graph_minplus(BLOCK)
+        ley = closure("min-plus", adj, method="leyzorek", convergence_check=check)
+        blocked = closure("min-plus", adj, method="blocked", convergence_check=check)
+        np.testing.assert_array_equal(blocked.matrix, ley.matrix)
+        assert blocked.iterations == 1
+        assert blocked.kernel_stats == ley.kernel_stats
+        assert blocked.convergence_checks == ley.convergence_checks
+        assert blocked.converged == ley.converged
+
+    def test_without_check_squares_each_block_log_times(self):
+        result = closure(
+            "min-plus", _path_graph_minplus(100), method="blocked",
+            convergence_check=False,
+        )
+        # Blocks of 64 and 36 vertices: 6 squarings each, plus two panel
+        # launches per round.
+        assert result.mmo_calls == (6 + 2) * 2
+        assert result.convergence_checks == 0
+        assert not result.converged
+        np.testing.assert_array_equal(result.matrix, _expected_path_distances(100))
+
+    def test_positive_max_plus_cycle_never_converges(self):
+        adj = np.full((70, 70), -np.inf)
+        np.fill_diagonal(adj, 0.0)
+        adj[0, 1] = adj[1, 0] = 1.0
+        result = closure("max-plus", adj, method="blocked")
+        assert not result.converged
+
+    @pytest.mark.parametrize("ring", ["plus-mul", "plus-norm"])
+    def test_non_idempotent_ring_rejected_before_any_launch(self, ring):
+        from repro.runtime import Trace
+
+        trace = Trace()
+        with pytest.raises(SemiringError, match="idempotent"):
+            closure(ring, np.eye(4), method="blocked", context=ExecutionContext(trace=trace))
+        assert trace.records == []
+
+    def test_validate_inputs_covers_the_whole_initial_matrix(self):
+        from repro.runtime.kernels import OperandValidationError
+
+        adj = _path_graph_minplus(100)
+        adj[90, 80] = np.nan  # outside round 0's block rows and columns
+        with pytest.raises(OperandValidationError, match="NaN"):
+            closure("min-plus", adj, method="blocked", validate_inputs=True)
+
+    @pytest.mark.parametrize(
+        "ring, maximize", [("max-mul", True), ("min-mul", False)]
+    )
+    @pytest.mark.parametrize("n", [65, 100, 200])
+    def test_mul_rings_stay_within_documented_tolerance(self, ring, maximize, n):
+        # Products are not fp16-exact, so no method is bit-exact; the
+        # closure docstring bounds the relative error at 1e-2 while path
+        # values stay in fp16's normal range.
+        adj = reliability_graph(GraphSpec(n, 0.05, 0), maximize=maximize)
+        expected, _ = floyd_warshall(ring, adj)
+        result = closure(ring, adj, method="blocked")
+        paths = np.isfinite(expected) & (expected > 0)
+        np.testing.assert_array_equal(np.isfinite(result.matrix) & (result.matrix > 0), paths)
+        assert expected[paths].min() >= 2.0**-14
+        error = np.abs(result.matrix[paths] - expected[paths]) / expected[paths]
+        assert error.max() <= 1e-2
