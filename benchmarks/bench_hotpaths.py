@@ -10,7 +10,12 @@ The whole-matrix kernel ``repro.core.ops.mmo`` is timed the same way
 against a frozen copy of the row-blocked broadcast-and-reduce kernel it
 replaced (:func:`_broadcast_reduce_mmo`), and gated: the streaming kernel
 must be at least ``KERNEL_MIN_SPEEDUP`` times faster on a min-plus launch
-(512² in smoke mode, 2048² with ``--full``) and give the same bits.
+(512² in smoke mode, 2048² with ``--full``) and give the same bits.  KNN's
+top-k selection ``repro.apps.knn.select_k_smallest`` is gated the same way
+against a frozen copy of the stable-argsort selection it replaced
+(:func:`_argsort_select`): equal results and at least ``TOPK_MIN_SPEEDUP``
+times faster on a tie-heavy 1024² matrix, plus a 4096² ``knn_wide``-shaped
+distance matrix with ``--full``.
 
 Usage::
 
@@ -21,7 +26,7 @@ Usage::
 Smoke mode runs small sizes in a few seconds (wired to ``make bench-smoke``
 and CI); ``--full`` adds the acceptance-criteria points: 512² emulate
 (scalar vs batched, the ≥10× target), 1024² emulate, a 4096² Figure-14
-sparse point, and the 2048² kernel gate.
+sparse point, the 2048² kernel gate and the 4096² top-k gate.
 """
 
 from __future__ import annotations
@@ -35,9 +40,11 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.apps.knn import select_k_smallest
 from repro.core import get_semiring
 from repro.core import ops as core_ops
 from repro.core.precision import quantize_input
+from repro.datasets import PointCloudSpec, uniform_points
 from repro.hw.device import Simd2Device
 from repro.runtime.kernels import mmo_tiled
 from repro.sparse import CsrMatrix, spgemm, spgemm_reference
@@ -45,6 +52,12 @@ from repro.sparse import CsrMatrix, spgemm, spgemm_reference
 
 #: The streaming kernel must beat the broadcast-and-reduce baseline by this.
 KERNEL_MIN_SPEEDUP = 1.8
+
+#: The partition top-k must beat the stable-argsort selection by this.
+TOPK_MIN_SPEEDUP = 3.0
+
+#: Neighbours per query in the top-k gate, as in the ``knn_wide`` workload.
+TOPK_K = 16
 
 
 def _broadcast_reduce_mmo(ring, a, b):
@@ -100,6 +113,64 @@ def bench_kernel(records: list[dict], n: int, *, repeats: int) -> float:
         raise SystemExit(
             f"kernel {n}²: streaming kernel {speedup:.2f}x faster than the "
             f"broadcast baseline, below the {KERNEL_MIN_SPEEDUP}x gate"
+        )
+    return speedup
+
+
+def _argsort_select(distances, k):
+    """The selection ``select_k_smallest`` replaced, frozen here: one stable
+    argsort of every whole row, cut to its first ``k`` columns."""
+    order = np.argsort(distances, axis=1, kind="stable")[:, :k]
+    values = np.take_along_axis(distances, order, axis=1)
+    return order, values
+
+
+def _topk_inputs(n: int, shape: str) -> np.ndarray:
+    rng = np.random.default_rng(9)
+    if shape == "tie_heavy":
+        # 64 distinct values per row of n: nearly every row's k-th value
+        # ties with entries past it, so the partition keeps extra entries.
+        return rng.integers(0, 64, (n, n)).astype(np.float32)
+    # knn_wide: plus-norm distances between two uniform 40-d point sets.
+    queries = uniform_points(PointCloudSpec(n, 40, seed=21))
+    references = uniform_points(PointCloudSpec(n, 40, seed=22))
+    return core_ops.mmo("plus-norm", queries, references.T)
+
+
+def bench_topk(records: list[dict], n: int, shape: str, *, repeats: int) -> float:
+    """Partition top-k vs the frozen argsort selection on an n² matrix.
+
+    Min-of-``repeats``, alternating as in :func:`bench_kernel`.  Returns
+    the speedup; exits on a result mismatch or a speedup below the gate.
+    """
+    distances = _topk_inputs(n, shape)
+    timings = {"argsort": float("inf"), "partition": float("inf")}
+    results = {}
+    for _ in range(repeats):
+        for mode, select in (
+            ("argsort", _argsort_select),
+            ("partition", select_k_smallest),
+        ):
+            t0 = time.perf_counter()
+            results[mode] = select(distances, TOPK_K)
+            timings[mode] = min(timings[mode], time.perf_counter() - t0)
+    if not all(
+        np.array_equal(got, want)
+        for got, want in zip(results["partition"], results["argsort"])
+    ):
+        raise SystemExit(f"top-k {n}² {shape}: partition result != argsort result")
+    for mode, seconds in timings.items():
+        records.append(
+            {"case": "topk", "n": n, "inputs": shape, "mode": mode, "seconds": seconds}
+        )
+    speedup = timings["argsort"] / timings["partition"]
+    print(f"top-k   {n:5d}² {shape:9s} argsort {timings['argsort']:8.3f}s  "
+          f"partition {timings['partition']:8.3f}s  "
+          f"(speedup {speedup:4.2f}x, need >= {TOPK_MIN_SPEEDUP}x, equal)")
+    if speedup < TOPK_MIN_SPEEDUP:
+        raise SystemExit(
+            f"top-k {n}² {shape}: partition selection {speedup:.2f}x faster "
+            f"than the argsort baseline, below the {TOPK_MIN_SPEEDUP}x gate"
         )
     return speedup
 
@@ -197,6 +268,13 @@ def main(argv: list[str] | None = None) -> int:
     records: list[dict] = []
     kernel_n = 2048 if args.full else 512
     kernel_speedup = bench_kernel(records, kernel_n, repeats=2 if args.full else 3)
+    topk_points = [(1024, "tie_heavy")] + ([(4096, "knn_wide")] if args.full else [])
+    topk_gate = [
+        {"n": n, "inputs": shape, "k": TOPK_K,
+         "speedup": round(bench_topk(records, n, shape, repeats=5), 2),
+         "min_speedup": TOPK_MIN_SPEEDUP}
+        for n, shape in topk_points
+    ]
     bench_emulate(records, 128, compare_scalar=True)
     bench_spgemm(records, 512, 0.05, compare_reference=True)
     if args.full:
@@ -231,6 +309,7 @@ def main(argv: list[str] | None = None) -> int:
             "speedup": round(kernel_speedup, 2),
             "min_speedup": KERNEL_MIN_SPEEDUP,
         },
+        "topk_gate": topk_gate,
     }
     payload = json.dumps(artifact, indent=2)
     if args.out:

@@ -18,6 +18,7 @@ import dataclasses
 
 import numpy as np
 
+from repro.apps.knn import _reject_non_finite
 from repro.runtime.kernels import mmo_tiled
 
 __all__ = ["KmeansResult", "kmeans_baseline", "kmeans_simd2"]
@@ -42,6 +43,7 @@ def _validate(points: np.ndarray, k: int, max_iterations: int) -> np.ndarray:
         raise ValueError(f"k={k} out of range for {points.shape[0]} points")
     if max_iterations <= 0:
         raise ValueError(f"max_iterations must be positive, got {max_iterations}")
+    _reject_non_finite("points", points)
     return points
 
 

@@ -18,6 +18,9 @@ from repro.runtime.kernels import KernelStats, mmo_tiled
 
 __all__ = ["KnnResult", "knn_baseline", "knn_simd2", "select_k_smallest"]
 
+#: Rows per block of :func:`select_k_smallest`; bounds its temporaries.
+_SELECT_ROWS = 256
+
 
 @dataclasses.dataclass(frozen=True)
 class KnnResult:
@@ -26,6 +29,21 @@ class KnnResult:
     indices: np.ndarray  # (num_queries, k) reference indices
     distances: np.ndarray  # (num_queries, k) squared L2 distances
     kernel_stats: KernelStats | None = None
+
+
+def _reject_non_finite(name: str, values: np.ndarray) -> None:
+    """Raise ``ValueError`` naming ``name`` and its first non-finite entry.
+
+    The point apps' guard: a NaN or infinite coordinate has no distance to
+    anything, and the mmo would answer with NaN distances, not an error.
+    """
+    bad = ~np.isfinite(values)
+    if bad.any():
+        index = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise ValueError(
+            f"{name} must be finite (first non-finite entry {values[index]} "
+            f"at {list(index)})"
+        )
 
 
 def _validate(queries: np.ndarray, references: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -42,18 +60,50 @@ def _validate(queries: np.ndarray, references: np.ndarray, k: int) -> tuple[np.n
         raise ValueError(
             f"k={k} out of range for {references.shape[0]} reference points"
         )
+    _reject_non_finite("queries", queries)
+    _reject_non_finite("references", references)
     return queries, references
 
 
 def select_k_smallest(distances: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-row k smallest entries, ties broken by lower index.
 
-    Returns ``(indices, values)`` each of shape ``(rows, k)``, sorted
-    ascending within each row.
+    Returns fresh ``(indices, values)`` arrays of shape ``(rows, k)``:
+    ``intp`` column indices and values in the input dtype, sorted
+    ascending within each row.  The result equals the first ``k`` columns
+    of a stable argsort: equal values keep index order, and NaN sorts
+    after every number, so a row with fewer than ``k`` numbers ends in
+    its NaN entries in index order.
+
+    Works on blocks of ``_SELECT_ROWS`` rows, so its temporaries stay
+    small.  Per block it partitions each row to its k-th smallest value,
+    keeps every entry at most that value in index order (the whole row
+    when that value is NaN), and stable-sorts only the kept entries.  A
+    row keeps about ``k`` entries, unless many entries tie with its k-th
+    value: in the worst case, a constant row, it sorts the whole row, at
+    several times the cost of one argsort.
+
+    Raises ``ValueError`` unless ``1 <= k <= cols``.
     """
-    order = np.argsort(distances, axis=1, kind="stable")[:, :k]
-    values = np.take_along_axis(distances, order, axis=1)
-    return order, values
+    distances = np.asarray(distances)
+    rows, cols = distances.shape
+    if not (1 <= k <= cols):
+        raise ValueError(f"k={k} out of range for {cols} columns")
+    indices = np.empty((rows, k), dtype=np.intp)
+    values = np.empty((rows, k), dtype=distances.dtype)
+    first_k = np.arange(k)
+    for start in range(0, rows, _SELECT_ROWS):
+        block = distances[start : start + _SELECT_ROWS]
+        kth = np.partition(block, k - 1, axis=1)[:, k - 1 : k]
+        keep = (block <= kth) | np.isnan(kth)
+        row, col = np.nonzero(keep)  # row-major: index order within a row
+        kept = block[row, col]
+        order = np.lexsort((kept, row))  # stable: ties keep index order
+        counts = np.count_nonzero(keep, axis=1)
+        pick = order[(np.cumsum(counts) - counts)[:, None] + first_k]
+        indices[start : start + len(block)] = col[pick]
+        values[start : start + len(block)] = kept[pick]
+    return indices, values
 
 
 def knn_baseline(queries: np.ndarray, references: np.ndarray, k: int) -> KnnResult:

@@ -23,7 +23,7 @@ import numpy as np
 from repro.backends.base import BackendCapabilities, register_backend
 from repro.backends.tiling import plan_mmo
 from repro.compile.artifact import CompiledMmo
-from repro.core.tiles import TILE, crop
+from repro.core.tiles import TILE
 from repro.hw.device import Simd2Device, WarpWorkItem
 from repro.hw.shared_memory import SharedMemory
 from repro.runtime.api import RuntimeError_
@@ -87,7 +87,7 @@ class EmulateBackend:
     ) -> tuple[np.ndarray, KernelStats]:
         semiring = compiled.opcode.semiring
         plan = plan_mmo(semiring, a, b, c)
-        a_pad, b_pad, c_pad = plan.a_pad, plan.b_pad, plan.c_pad
+        a_pad, b_pad = plan.a_pad, plan.b_pad
         tiles_m, tiles_n, tiles_k = plan.tiles_m, plan.tiles_n, plan.tiles_k
         stats = plan.stats
 
@@ -118,7 +118,16 @@ class EmulateBackend:
             b_pad[:, tj * TILE : (tj + 1) * TILE].astype(in_dtype)
             for tj in range(tiles_n)
         ]
-        c_conv = c_pad.astype(out_dtype, copy=False)
+        # Without C every tile's accumulator is the ⊕ identity: a broadcast
+        # view, so no padded accumulator is materialised.
+        c_conv = (
+            np.broadcast_to(
+                np.asarray(semiring.oplus_identity, out_dtype),
+                (tiles_m * TILE, tiles_n * TILE),
+            )
+            if plan.c_pad is None
+            else plan.c_pad.astype(out_dtype, copy=False)
+        )
 
         work_items: list[tuple[int, int, SharedMemory]] = []
         items: list[WarpWorkItem] = []
@@ -135,14 +144,14 @@ class EmulateBackend:
                 items.append(WarpWorkItem(program, shm))
 
         execution = device.launch(items)
-        d_pad = np.empty_like(c_pad)
+        d_pad = np.empty((tiles_m * TILE, tiles_n * TILE), semiring.output_dtype)
         for ti, tj, shm in work_items:
             d_tile = shm.read_matrix(d_addr, (TILE, TILE), out_etype)
             d_pad[ti * TILE : (ti + 1) * TILE, tj * TILE : (tj + 1) * TILE] = d_tile
 
         stats = dataclasses.replace(stats, execution=execution)
         _check_emulation_parity(stats)
-        return crop(d_pad, stats.m, stats.n).copy(), stats
+        return plan.crop(d_pad), stats
 
 
 register_backend(EmulateBackend())

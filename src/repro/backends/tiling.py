@@ -4,12 +4,13 @@ Padding to 16×16 tiles is backend-independent policy: operands are
 quantised to the ring's input format once, straight from the caller's
 dtype (as :func:`repro.core.ops.mmo` does), held in the accumulate dtype,
 padded along ``k`` with the ring's absorbing pair
-(``k_pad_a ⊗ k_pad_b == ⊕-identity``), the accumulator padded with the ⊕
-identity, and a degenerate ``k == 0`` turned into one fully-absorbed inner
-tile step.  Centralising the plan here keeps every backend's tile grid —
-and therefore its :class:`~repro.runtime.kernels.KernelStats` — identical
-by construction, which is what the paper's statistics cross-check between
-backends relies on.
+(``k_pad_a ⊗ k_pad_b == ⊕-identity``), an accumulator padded with the ⊕
+identity (a launch without one gets none), and a degenerate ``k == 0``
+turned into one fully-absorbed inner tile step.  Centralising the plan
+here keeps every backend's tile grid — and therefore its
+:class:`~repro.runtime.kernels.KernelStats` — identical by construction,
+which is what the paper's statistics cross-check between backends relies
+on.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from repro.core.precision import quantize_input
 from repro.core.semiring import Semiring
-from repro.core.tiles import TILE, ceil_div, pad_to_tiles
+from repro.core.tiles import TILE, ceil_div, crop, pad_to_tiles, padded_extent
 from repro.runtime.kernels import KernelStats
 
 __all__ = ["TilePlan", "partition_bands", "plan_mmo"]
@@ -28,11 +29,16 @@ __all__ = ["TilePlan", "partition_bands", "plan_mmo"]
 
 @dataclasses.dataclass(frozen=True)
 class TilePlan:
-    """Padded operands plus the tile grid they imply."""
+    """Padded operands plus the tile grid they imply.
+
+    ``c_pad`` is ``None`` when the launch has no ``C``: the backend then
+    starts its output from the ⊕ identity itself, which is exactly what a
+    padded identity accumulator would hold, so no accumulator is built.
+    """
 
     a_pad: np.ndarray  # (tiles_m*16, tiles_k*16) in the output dtype
     b_pad: np.ndarray  # (tiles_k*16, tiles_n*16)
-    c_pad: np.ndarray  # (tiles_m*16, tiles_n*16)
+    c_pad: np.ndarray | None  # (tiles_m*16, tiles_n*16), None without C
     stats: KernelStats
 
     @property
@@ -47,6 +53,15 @@ class TilePlan:
     def tiles_k(self) -> int:
         return self.stats.tiles_k
 
+    def crop(self, d_pad: np.ndarray) -> np.ndarray:
+        """The ``(m, n)`` result of a freshly computed padded output.
+
+        Copies only when padded rows or columns are dropped, so the result
+        never pins the larger padded array; otherwise returns ``d_pad``.
+        """
+        m, n = self.stats.m, self.stats.n
+        return d_pad if d_pad.shape == (m, n) else crop(d_pad, m, n).copy()
+
 
 def plan_mmo(
     semiring: Semiring,
@@ -60,7 +75,8 @@ def plan_mmo(
     (``m > 0`` and ``n > 0``); ``k == 0`` is handled here by materialising
     one tile of absorbing inner steps, so every output-tile program runs
     at least one mmo instruction (the ``tiles_k`` convention of
-    :class:`~repro.runtime.kernels.KernelStats`).
+    :class:`~repro.runtime.kernels.KernelStats`).  Without ``c`` the plan's
+    ``c_pad`` is ``None`` and no accumulator is materialised.
     """
     m, k = a.shape
     n = b.shape[1]
@@ -71,16 +87,19 @@ def plan_mmo(
     b_pad = pad_to_tiles(
         quantize_input(b, semiring).astype(semiring.output_dtype), semiring.k_pad_b
     )
-    c_full = (
-        semiring.full((m, n)) if c is None else np.asarray(c, semiring.output_dtype)
+    c_pad = (
+        None
+        if c is None
+        else pad_to_tiles(
+            np.asarray(c, semiring.output_dtype), semiring.oplus_identity
+        )
     )
-    c_pad = pad_to_tiles(c_full, semiring.oplus_identity)
     if k == 0:
         a_pad = np.full(
-            (c_pad.shape[0], TILE), semiring.k_pad_a, semiring.output_dtype
+            (padded_extent(m), TILE), semiring.k_pad_a, semiring.output_dtype
         )
         b_pad = np.full(
-            (TILE, c_pad.shape[1]), semiring.k_pad_b, semiring.output_dtype
+            (TILE, padded_extent(n)), semiring.k_pad_b, semiring.output_dtype
         )
 
     tiles_m = a_pad.shape[0] // TILE

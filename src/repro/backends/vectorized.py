@@ -18,7 +18,6 @@ from repro.backends.base import BackendCapabilities, register_backend
 from repro.backends.tiling import plan_mmo
 from repro.compile.artifact import CompiledMmo
 from repro.core import ops as core_ops
-from repro.core.tiles import crop
 from repro.runtime.context import ExecutionContext
 from repro.runtime.kernels import KernelStats
 
@@ -42,9 +41,9 @@ class VectorizedBackend:
     ) -> tuple[np.ndarray, KernelStats]:
         semiring = compiled.opcode.semiring
         plan = plan_mmo(semiring, a, b, c)
+        # Without C, mmo starts its output from the ⊕ identity itself.
         d_pad = core_ops.mmo(semiring, plan.a_pad, plan.b_pad, plan.c_pad)
-        stats = plan.stats
-        return crop(d_pad, stats.m, stats.n).copy(), stats
+        return plan.crop(d_pad), plan.stats
 
 
 register_backend(VectorizedBackend())

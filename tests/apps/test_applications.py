@@ -19,6 +19,8 @@ from repro.apps import (
     dag_longest_path_dp,
     gtc_baseline,
     gtc_simd2,
+    kmeans_baseline,
+    kmeans_simd2,
     knn_baseline,
     knn_simd2,
     max_capacity_baseline,
@@ -29,6 +31,7 @@ from repro.apps import (
     min_reliability_simd2,
     mst_baseline,
     mst_simd2,
+    select_k_smallest,
 )
 from repro.datasets import (
     GraphSpec,
@@ -272,6 +275,40 @@ class TestKnn:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             knn_simd2(np.zeros((4, 3)), np.zeros((4, 2)), k=1)
+
+    @pytest.mark.parametrize("entry", ["select_k_smallest", "knn_simd2", "knn_baseline"])
+    def test_results_do_not_pin_larger_arrays(self, entry):
+        # A (rows, k) view of a (rows, cols) argsort would keep the whole
+        # argsort alive for as long as the result is held.
+        points, _ = gaussian_clusters(PointCloudSpec(num_points=40, dimensions=6, seed=2))
+        if entry == "select_k_smallest":
+            arrays = select_k_smallest(points[:, :1] @ points[:, 1:2].T, 3)
+        else:
+            app = knn_simd2 if entry == "knn_simd2" else knn_baseline
+            result = app(points[:10], points[10:], k=3)
+            arrays = (result.indices, result.distances)
+        for array in arrays:
+            assert array.shape[1] == 3
+            assert array.base is None or array.base.size == array.size
+
+
+class TestNonFiniteCoordinates:
+    @pytest.mark.parametrize(
+        "app, operand",
+        [
+            (lambda pts: knn_simd2(pts[:2], pts, k=2), "references"),
+            (lambda pts: knn_baseline(pts, pts[:2], k=2), "queries"),
+            (lambda pts: kmeans_simd2(pts, 2), "points"),
+            (lambda pts: kmeans_baseline(pts, 2), "points"),
+        ],
+        ids=["knn_simd2", "knn_baseline", "kmeans_simd2", "kmeans_baseline"],
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected_naming_operand_and_entry(self, app, operand, bad):
+        points = np.arange(12.0).reshape(6, 2)
+        points[4, 1] = bad
+        with pytest.raises(ValueError, match=rf"{operand} must be finite .* at \[4, 1\]"):
+            app(points)
 
 
 class TestEmulatedBackendEndToEnd:

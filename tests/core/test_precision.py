@@ -61,6 +61,23 @@ class TestRepresentable:
         assert not representable_input(np.array([1.0 / 3.0]), ring)
 
 
+def _argsort_select(distances, k):
+    """The stable-argsort selection ``select_k_smallest`` replaced, frozen."""
+    order = np.argsort(distances, axis=1, kind="stable")[:, :k]
+    values = np.take_along_axis(distances, order, axis=1)
+    return order, values
+
+
+def _tie_heavy(rng, shape, dtype):
+    """Few distinct values plus NaN and ±inf, so rows tie past ``k``."""
+    distances = rng.integers(0, 4, shape).astype(dtype)
+    draw = rng.random(shape)
+    distances[draw < 0.1] = np.nan
+    distances[(draw >= 0.1) & (draw < 0.15)] = np.inf
+    distances[(draw >= 0.15) & (draw < 0.2)] = -np.inf
+    return distances
+
+
 class TestSelectKSmallest:
     def test_sorted_with_index_tiebreak(self):
         from repro.apps import select_k_smallest
@@ -69,6 +86,47 @@ class TestSelectKSmallest:
         indices, values = select_k_smallest(distances, 3)
         np.testing.assert_array_equal(indices, [[3, 1, 2]])
         np.testing.assert_array_equal(values, [[0.5, 1.0, 1.0]])
+
+    def _assert_matches_argsort(self, distances, k):
+        from repro.apps import select_k_smallest
+
+        indices, values = select_k_smallest(distances, k)
+        expected_indices, expected_values = _argsort_select(distances, k)
+        assert indices.dtype == np.intp
+        assert values.dtype == distances.dtype
+        assert indices.shape == values.shape == (distances.shape[0], k)
+        np.testing.assert_array_equal(indices, expected_indices)
+        np.testing.assert_array_equal(values, expected_values)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    # 600 rows cross two boundaries of the selection's 256-row blocks.
+    @pytest.mark.parametrize("shape", [(7, 9), (600, 40), (0, 5), (6, 1)])
+    def test_equals_stable_argsort(self, shape, dtype):
+        rng = np.random.default_rng(sum(shape))
+        distances = _tie_heavy(rng, shape, dtype)
+        cols = shape[1]
+        for k in sorted({1, max(cols - 1, 1), cols}):
+            self._assert_matches_argsort(distances, k)
+
+    def test_ties_at_kth_value(self):
+        distances = np.array([[2.0, 1.0, 1.0, 1.0, 0.0, 1.0]], np.float32)
+        self._assert_matches_argsort(distances, 2)
+        self._assert_matches_argsort(distances, 3)
+        self._assert_matches_argsort(np.zeros((3, 8)), 4)
+
+    def test_rows_with_fewer_than_k_numbers_end_in_nan(self):
+        distances = np.array(
+            [[np.nan, 3.0, np.nan, 1.0], [np.nan] * 4, [4.0, np.nan, -np.inf, np.inf]]
+        )
+        self._assert_matches_argsort(distances, 3)
+        self._assert_matches_argsort(distances, 4)
+
+    @pytest.mark.parametrize("k", [0, 6])
+    def test_k_outside_one_to_cols_rejected(self, k):
+        from repro.apps import select_k_smallest
+
+        with pytest.raises(ValueError, match="out of range"):
+            select_k_smallest(np.zeros((3, 5)), k)
 
 
 class TestMinimaxMatrix:

@@ -10,6 +10,8 @@ emulate-backend coverage for split-k.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -132,12 +134,22 @@ class TestRegistryBackendParity:
         assert stats.mmo_instructions == ref_stats.mmo_instructions
 
     def test_no_accumulator(self, name, backend):
-        self._skip_if_incapable(backend, name)
+        # A launch without C starts from the ⊕ identity instead of building
+        # an identity accumulator, and returns its output uncopied when no
+        # padding is cropped: on- and off-grid shapes and a one-row launch.
+        self._skip_if_incapable(backend, name, has_accumulator=True)
         ring = SEMIRINGS[name]
-        a, b, _ = self._operands(ring, 16, 16, 16, seed=0xBEE)
-        expected, _ = mmo_tiled(name, a, b, backend="vectorized")
-        got, _ = mmo_tiled(name, a, b, backend=backend)
-        self._assert_agrees(ring, got, expected)
+        for m, k, n in [(16, 16, 16), (23, 37, 19), (32, 40, 48), (1, 24, 70)]:
+            a, b, _ = self._operands(ring, m, k, n, seed=0xBEE)
+            expected, _ = mmo_tiled(name, a, b, backend="vectorized")
+            got, _ = mmo_tiled(name, a, b, backend=backend)
+            self._assert_agrees(ring, got, expected)
+            with_identity, _ = mmo_tiled(name, a, b, ring.full((m, n)), backend=backend)
+            np.testing.assert_array_equal(got, with_identity)
+            a_before, b_before = a.copy(), b.copy()
+            got[...] = ring.oplus_identity
+            np.testing.assert_array_equal(a, a_before)
+            np.testing.assert_array_equal(b, b_before)
 
     def test_degenerate_inner_dimension(self, name, backend):
         self._skip_if_incapable(backend, name)
@@ -151,6 +163,23 @@ class TestRegistryBackendParity:
             stats.mmo_instructions
             == stats.tiles_m * stats.tiles_n * stats.tiles_k
         )
+
+
+def test_no_accumulator_launch_allocates_little_beyond_its_output():
+    # Without C the vectorized launch fills its output with the ⊕ identity
+    # once and returns it uncropped: no identity accumulator, no padded
+    # copy of it, no re-cast inside the kernel, no copy of the result.
+    rng = np.random.default_rng(3)
+    a = rng.uniform(0.0, 4.0, (1024, 48))
+    b = rng.uniform(0.0, 4.0, (48, 1024))
+    mmo_tiled("plus-norm", a, b, backend="vectorized")  # compile and warm up
+    tracemalloc.start()
+    try:
+        out, _ = mmo_tiled("plus-norm", a, b, backend="vectorized")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the output"
 
 
 class TestBatchedMmoParity:
