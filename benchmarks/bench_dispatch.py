@@ -11,10 +11,10 @@ and CI.  Four gates:
    within 5 % of calling the backend directly on a 512² mmo.  The
    registry refactor is supposed to be free; this keeps it that way.
 3. **Hooks overhead** — the lifecycle hook pipeline on a *default*
-   context (validation only: no trace, no faults) must dispatch
-   launchless, and its per-call cost over a bare backend ``execute``
-   must stay within 5 % of the 512² kernel it brackets.  The pipeline
-   refactor replaced the hand-threaded seams; this keeps it free.
+   context (no hooks at all: no trace, no faults, no budget) must
+   dispatch launchless, and its per-call cost over a bare backend
+   ``execute`` must stay within 5 % of the 512² kernel it brackets.
+   The pipeline replaced hand-threaded seams; this keeps it free.
 4. **Closure relaunch** — relaunching one deep-k shape many times (the
    shape of a closure loop) with the plan cache enabled must beat the
    same loop with memoization disabled (``PlanCache(maxsize=0)``, the
@@ -191,10 +191,10 @@ def dispatch_overhead(records: list[dict]) -> None:
 def hooks_overhead(records: list[dict]) -> None:
     """Hook-pipeline cost on a default context vs the kernel it brackets.
 
-    The lifecycle pipeline replaced the hand-threaded trace/fault/
-    validation seams with ``begin_launch``/``finish_launch`` around every
-    backend call.  On a default context (validation hook only) it must be
-    free twice over: structurally — ``begin_launch`` takes the
+    The lifecycle pipeline replaced the hand-threaded trace/fault seams
+    with ``begin_launch``/``finish_launch`` around every backend call.
+    On a default context (an empty pipeline) it must be free twice
+    over: structurally — ``begin_launch`` takes the
     allocation-free path and returns no ``Launch`` carrier — and in time,
     measured like :func:`dispatch_overhead`: isolate the per-call delta
     of the pipelined ``execute_compiled`` path over a bare backend

@@ -11,7 +11,7 @@ unit test pins down because they are conventions spanning many files:
 - **launch-bracketing** — every runtime function that invokes a backend
   (``.execute``) must bracket the call with the pipeline's
   ``begin_launch``/``finish_launch``, so no dispatch path escapes
-  validation, fault injection or tracing;
+  fault injection, budgets or tracing;
 - **raw-matmul** — backends and the sparse tier may not use raw numpy
   matrix products (``@``, ``np.dot``, ``np.matmul``, ``np.einsum``):
   every product must flow through a semiring fold so non-(+,×) rings
@@ -178,8 +178,9 @@ class LaunchBracketRule(Rule):
 
     A function under ``repro/runtime/`` that calls ``.execute(...)`` must
     also call ``begin_launch`` and ``finish_launch`` — otherwise that
-    dispatch path skips validation, fault injection and trace recording
-    for every launch it issues.
+    dispatch path skips fault injection, budgets and trace recording for
+    every launch it issues.  (Ring-input validation is not a hook: entry
+    points run it once per call.)
     """
 
     name = "launch-bracketing"
@@ -216,7 +217,8 @@ class LaunchBracketRule(Rule):
                         call,
                         f"{node.name}() invokes a backend without calling "
                         f"{' and '.join(sorted(missing))} — every dispatch "
-                        f"path must run the hook pipeline",
+                        f"path must run the hook pipeline (fault injection, "
+                        f"budgets, tracing)",
                     )
 
 

@@ -64,9 +64,6 @@ class BackendCapabilities:
     ``rings`` is the frozen set of supported semiring names, or ``None``
     for "every ring" (the permissive default legacy backends get).
     ``accumulator`` says whether ``C ⊕`` launches are supported.
-    ``density_preference`` is advisory metadata for the planner:
-    ``"sparse"`` backends expect to win on mostly-identity operands,
-    ``"dense"`` ones on full operands, ``"any"`` claims no preference.
     ``thread_safe`` declares whether concurrent ``execute`` calls on one
     backend instance are safe; the :mod:`repro.sched` thread-pool
     executor serialises launches on backends that say ``False`` (the
@@ -76,15 +73,9 @@ class BackendCapabilities:
 
     rings: frozenset[str] | None = None
     accumulator: bool = True
-    density_preference: str = "any"
     thread_safe: bool = True
 
     def __post_init__(self) -> None:
-        if self.density_preference not in ("dense", "sparse", "any"):
-            raise BackendError(
-                "density_preference must be 'dense', 'sparse' or 'any', "
-                f"got {self.density_preference!r}"
-            )
         if self.rings is not None:
             object.__setattr__(self, "rings", frozenset(self.rings))
 

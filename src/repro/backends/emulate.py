@@ -64,7 +64,7 @@ class EmulateBackend:
     # Not thread_safe: launches without an explicit device share the
     # lazily-created default Simd2Device, whose staged shared memory is
     # per-instance state.
-    capabilities = BackendCapabilities(density_preference="dense", thread_safe=False)
+    capabilities = BackendCapabilities(thread_safe=False)
 
     def __init__(self) -> None:
         self._default_device: Simd2Device | None = None

@@ -99,9 +99,7 @@ class SparseBackend:
     def capabilities(self) -> BackendCapabilities:
         # Recomputed per read (memoised per ring) so rings registered
         # after import classify themselves, exactly like the old probe.
-        return BackendCapabilities(
-            rings=absorbing_rings(), density_preference="sparse"
-        )
+        return BackendCapabilities(rings=absorbing_rings())
 
     def execute(
         self,

@@ -34,6 +34,9 @@ class TilePlan:
     ``c_pad`` is ``None`` when the launch has no ``C``: the backend then
     starts its output from the ⊕ identity itself, which is exactly what a
     padded identity accumulator would hold, so no accumulator is built.
+    An operand that needed no padding is not copied — an aligned ``C``
+    already in the output dtype *is* the caller's array — so backends
+    only read the plan's operands.
     """
 
     a_pad: np.ndarray  # (tiles_m*16, tiles_k*16) in the output dtype
@@ -63,6 +66,18 @@ class TilePlan:
         return d_pad if d_pad.shape == (m, n) else crop(d_pad, m, n).copy()
 
 
+def _pad(matrix: np.ndarray, fill: float | bool) -> np.ndarray:
+    """``matrix`` padded with ``fill`` to full tiles, copied only if padded.
+
+    The counterpart of :meth:`TilePlan.crop`, which copies only when it
+    crops: an aligned operand is handed on as it is.
+    """
+    rows, cols = matrix.shape
+    if (padded_extent(rows), padded_extent(cols)) == (rows, cols):
+        return matrix
+    return pad_to_tiles(matrix, fill)
+
+
 def plan_mmo(
     semiring: Semiring,
     a: np.ndarray,
@@ -81,18 +96,16 @@ def plan_mmo(
     m, k = a.shape
     n = b.shape[1]
     # Quantise once: an fp32 cast before the fp16 one would round twice.
-    a_pad = pad_to_tiles(
+    a_pad = _pad(
         quantize_input(a, semiring).astype(semiring.output_dtype), semiring.k_pad_a
     )
-    b_pad = pad_to_tiles(
+    b_pad = _pad(
         quantize_input(b, semiring).astype(semiring.output_dtype), semiring.k_pad_b
     )
     c_pad = (
         None
         if c is None
-        else pad_to_tiles(
-            np.asarray(c, semiring.output_dtype), semiring.oplus_identity
-        )
+        else _pad(np.asarray(c, semiring.output_dtype), semiring.oplus_identity)
     )
     if k == 0:
         a_pad = np.full(

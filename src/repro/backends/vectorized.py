@@ -28,7 +28,7 @@ class VectorizedBackend:
     """Whole-matrix mmo on the padded plan via :func:`repro.core.ops.mmo`."""
 
     name = "vectorized"
-    capabilities = BackendCapabilities(density_preference="dense")
+    capabilities = BackendCapabilities()
 
     def execute(
         self,

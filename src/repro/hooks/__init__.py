@@ -6,15 +6,13 @@ plus an ``on_event`` channel, assembled per
 :class:`~repro.runtime.context.ExecutionContext` and invoked by the
 runtime entry points instead of per-entry-point hand-threading.  See
 :mod:`repro.hooks.pipeline` for the contract and
-:mod:`repro.hooks.builtin` for the trace/fault/validation/cache-stats
-hooks.
+:mod:`repro.hooks.builtin` for the trace/fault/cache-stats hooks.
 """
 
 from repro.hooks.builtin import (
     CacheStatsHook,
     FaultHook,
     TraceHook,
-    ValidationHook,
 )
 from repro.hooks.pipeline import (
     EMPTY_PIPELINE,
@@ -33,7 +31,6 @@ __all__ = [
     "HookPipeline",
     "Launch",
     "TraceHook",
-    "ValidationHook",
     "build_pipeline",
     "emit_event",
 ]

@@ -1,17 +1,14 @@
-"""Built-in lifecycle hooks: the four concerns PR 2–5 hand-threaded.
+"""Built-in lifecycle hooks: fault injection and trace recording.
 
 Each hook is stateless (reads everything from the launch's context), so a
 single shared instance serves every pipeline; :func:`~repro.hooks
 .pipeline.build_pipeline` assembles them in the canonical order
-validation → fault → trace.  That order *is* load-bearing:
-
-- validation raises before the fault plan claims an ordinal, so a
-  rejected launch consumes no fault-schedule slot (matching the
-  pre-pipeline runtime, where ``_validate_ring_inputs`` ran at the top of
-  ``mmo_tiled``);
-- fault corruption rewrites ``launch.result`` before the trace hook
-  reads it, and an injected *drop* raises in ``pre_execute`` before any
-  record is appended — a dropped launch leaves no ``LaunchRecord``.
+fault → trace.  That order *is* load-bearing: fault corruption rewrites
+``launch.result`` before the trace hook reads it, and an injected *drop*
+raises in ``pre_execute`` before any record is appended — a dropped
+launch leaves no ``LaunchRecord``.  Ring-input validation runs in the
+entry point before the pipeline opens the launch, so a rejected launch
+claims no fault-schedule slot and leaves no record.
 
 :class:`CacheStatsHook` is the odd one out: it is stateful (per-instance
 counters), so it is not part of the default assembly — attach a fresh
@@ -26,7 +23,6 @@ import threading
 from typing import TYPE_CHECKING
 
 from repro.hooks.pipeline import Hook
-from repro.runtime.kernels import _validate_ring_inputs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compile.artifact import CompiledMmo
@@ -38,36 +34,9 @@ __all__ = [
     "CacheStatsHook",
     "FaultHook",
     "TraceHook",
-    "ValidationHook",
     "FAULT_HOOK",
     "TRACE_HOOK",
-    "VALIDATION_HOOK",
 ]
-
-
-class ValidationHook(Hook):
-    """Reject value-poisoned operands before the backend runs.
-
-    Delegates to :func:`repro.runtime.kernels._validate_ring_inputs` —
-    still the single implementation — and honours the per-launch
-    ``validate_inputs=False`` opt-out that loop entry points use when
-    they deliberately iterate non-finite state (NaN fixpoints, fault
-    studies).  Because this runs at ``pre_execute`` on *every* dispatch
-    path, ``mmo_tiled`` and ``execute_compiled`` now validate
-    identically.
-    """
-
-    def pre_execute(self, launch: "Launch") -> None:
-        if launch.validate_inputs:
-            _validate_ring_inputs(
-                launch.opcode.semiring, launch.a, launch.b, launch.c
-            )
-
-    def launchless_pre(self, context, api, opcode, a, b, c, validate_inputs) -> None:
-        # Allocation-free form: lets a validation-only pipeline dispatch
-        # without building a Launch carrier (see Hook.launchless_pre).
-        if validate_inputs:
-            _validate_ring_inputs(opcode.semiring, a, b, c)
 
 
 class FaultHook(Hook):
@@ -235,6 +204,5 @@ class CacheStatsHook(Hook):
 
 
 #: Shared stateless instances used by the default pipeline assembly.
-VALIDATION_HOOK = ValidationHook()
 FAULT_HOOK = FaultHook()
 TRACE_HOOK = TraceHook()

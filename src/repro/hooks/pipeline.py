@@ -1,20 +1,18 @@
 """Lifecycle hook pipeline: one seam for every cross-cutting launch concern.
 
-PR 2–5 grew four cross-cutting concerns — trace recording, fault
-injection, ABFT/resilience events, input validation — and each was
-hand-threaded through every runtime entry point (``mmo_tiled``,
-``execute_compiled``, closure, batched, split-k, multi-device bands).
-Five copies of the same seam drift: ``execute_compiled`` skipped the
-ring-input poison check, multi-device raised the wrong error family for a
-bad accumulator.  This module replaces the copies with **one pipeline**
-carried on the :class:`~repro.runtime.context.ExecutionContext`, with
-hooks invoked at four fixed lifecycle points plus an event channel:
+Trace recording, fault injection, budgets, breakers, autotune feedback
+and resilience events each apply to every runtime entry point
+(``mmo_tiled``, ``execute_compiled``, closure, batched, split-k,
+multi-device bands).  Rather than hand-thread each concern through
+each entry point, this module carries **one pipeline** on the
+:class:`~repro.runtime.context.ExecutionContext`, with hooks invoked at
+four fixed lifecycle points plus an event channel:
 
 - ``pre_compile``  — before a launch shape is lowered/looked up;
 - ``post_compile`` — after the artifact is resolved (carries the cache
   hit flag);
-- ``pre_execute``  — after shapes are validated, before the backend
-  runs (input validation, fault-plan ordinal claims live here);
+- ``pre_execute``  — after the entry point validated its inputs, before
+  the backend runs (budget charges, fault-plan ordinal claims);
 - ``post_execute`` — after the backend returned (fault corruption,
   trace recording; a hook may replace ``launch.result``);
 - ``on_event``     — the out-of-band channel resilience occurrences
@@ -25,10 +23,12 @@ hooks invoked at four fixed lifecycle points plus an event channel:
   through here as a :class:`~repro.runtime.trace.PlanRecord`.
 
 Hooks at each point fire in **registration order** (for the built-in
-assembly: validation → fault → trace → custom hooks), and the same order
-applies pre and post — so fault corruption always lands before the trace
-record, and a raising validation/fault hook aborts the launch *before*
-any record is written (no orphaned records).
+assembly: budget → fault → trace → breaker → autotune → custom hooks),
+and the same order applies pre and post — so fault corruption always
+lands before the trace record, and a raising budget/fault hook aborts
+the launch *before* any record is written (no orphaned records).
+Ring-input validation is not a hook: the entry point runs it once per
+call before it plans, compiles or opens a launch.
 
 Cost discipline: the pipeline is assembled once per context and cached;
 each lifecycle point dispatches over a precomputed tuple of hooks that
@@ -73,13 +73,12 @@ class Hook:
     """
 
     #: Optional allocation-free form of ``pre_execute`` with signature
-    #: ``(context, api, opcode, a, b, c, validate_inputs) -> None``.  When
-    #: *every* pre-execute hook in a pipeline provides one and nothing
-    #: listens on ``post_execute``, :meth:`HookPipeline.begin_launch` runs
-    #: these directly and skips the :class:`Launch` allocation — this is
-    #: how the default (validation-only) pipeline keeps the hot path
-    #: allocation-free.  Hooks that need cross-point state (fault
-    #: ordinals) leave it ``None``.
+    #: ``(context, api, opcode, a, b, c) -> None``.  When *every*
+    #: pre-execute hook in a pipeline provides one and nothing listens on
+    #: ``post_execute``, :meth:`HookPipeline.begin_launch` runs these
+    #: directly and skips the :class:`Launch` allocation — this is how a
+    #: budget-only pipeline keeps the hot path allocation-free.  Hooks
+    #: that need cross-point state (fault ordinals) leave it ``None``.
     launchless_pre = None
 
     def pre_compile(
@@ -106,8 +105,8 @@ class Hook:
     def pre_execute(self, launch: "Launch") -> None:
         """After shape validation, before the backend executes.
 
-        May raise to abort the launch (validation rejections, injected
-        drops); nothing has been recorded yet at this point.
+        May raise to abort the launch (spent budgets, injected drops);
+        nothing has been recorded yet at this point.
         """
 
     def post_execute(self, launch: "Launch") -> None:
@@ -144,7 +143,6 @@ class Launch:
         "a",
         "b",
         "c",
-        "validate_inputs",
         "degenerate",
         "cache_hit",
         "optimizer_removed",
@@ -164,7 +162,6 @@ class Launch:
         b: "np.ndarray",
         c: "np.ndarray | None",
         *,
-        validate_inputs: bool = True,
         degenerate: bool = False,
         cache_hit: bool | None = None,
         optimizer_removed: int = 0,
@@ -176,7 +173,6 @@ class Launch:
         self.a = a
         self.b = b
         self.c = c
-        self.validate_inputs = validate_inputs
         self.degenerate = degenerate
         self.cache_hit = cache_hit
         self.optimizer_removed = optimizer_removed
@@ -203,9 +199,9 @@ class HookPipeline:
     """An ordered set of hooks, pre-sorted by lifecycle point.
 
     Immutable once built; :func:`build_pipeline` assembles the built-in
-    hooks a context's fields imply (validation always, fault when a
-    ``fault_plan`` is set, trace when a ``trace`` is set) followed by the
-    context's custom ``hooks`` tuple.
+    hooks a context's fields imply (budget when a ``budget`` is set,
+    fault when a ``fault_plan`` is set, trace when a ``trace`` is set,
+    and so on) followed by the context's custom ``hooks`` tuple.
     """
 
     __slots__ = (
@@ -274,7 +270,6 @@ class HookPipeline:
         b: "np.ndarray",
         c: "np.ndarray | None",
         *,
-        validate_inputs: bool = True,
         degenerate: bool = False,
         cache_hit: bool | None = None,
         optimizer_removed: int = 0,
@@ -284,16 +279,16 @@ class HookPipeline:
 
         Returns ``None`` — with **no allocation** — when every
         pre-execute hook offers a ``launchless_pre`` form and nothing
-        listens post-execute (true for the default validation-only
-        pipeline, and trivially for an empty one); callers pass that
-        straight to :meth:`finish_launch`, which then costs one
-        ``is None`` check.  A raising pre hook (validation, injected
-        drop) propagates before anything is recorded.
+        listens post-execute (true for a budget-only pipeline, and
+        trivially for the default empty one); callers pass that straight
+        to :meth:`finish_launch`, which then costs one ``is None``
+        check.  A raising pre hook (spent budget, injected drop)
+        propagates before anything is recorded.
         """
         launchless = self._launchless
         if launchless is not None:
             for fn in launchless:
-                fn(context, api, opcode, a, b, c, validate_inputs)
+                fn(context, api, opcode, a, b, c)
             return None
         launch = Launch(
             context,
@@ -302,7 +297,6 @@ class HookPipeline:
             a,
             b,
             c,
-            validate_inputs=validate_inputs,
             degenerate=degenerate,
             cache_hit=cache_hit,
             optimizer_removed=optimizer_removed,
@@ -370,19 +364,19 @@ EMPTY_PIPELINE = HookPipeline()
 def build_pipeline(context: "ExecutionContext") -> HookPipeline:
     """Assemble the pipeline a context's fields imply.
 
-    Built-in order (also the firing order at every point): validation →
-    budget (only when ``context.budget`` is set; after validation so a
-    rejected launch spends no budget, and still launchless so a
-    budget-only context keeps the allocation-free fast path) → fault
-    (only when ``context.fault_plan`` is set) → trace (only when
-    ``context.trace`` is set) → breaker (only when ``context.breakers``
-    is set) → autotune (only for adaptive contexts: ``backend="auto"``
-    or an explicit ``autotune=`` table, so plain static contexts keep
-    the allocation-free fast path) → the context's custom ``hooks``.
+    Built-in order (also the firing order at every point): budget (only
+    when ``context.budget`` is set; launchless, so a budget-only context
+    keeps the allocation-free fast path) → fault (only when
+    ``context.fault_plan`` is set) → trace (only when ``context.trace``
+    is set) → breaker (only when ``context.breakers`` is set) → autotune
+    (only for adaptive contexts: ``backend="auto"`` or an explicit
+    ``autotune=`` table, so plain static contexts keep the
+    allocation-free fast path) → the context's custom ``hooks``.  A
+    default context gets no hooks at all.
     """
-    from repro.hooks.builtin import FAULT_HOOK, TRACE_HOOK, VALIDATION_HOOK
+    from repro.hooks.builtin import FAULT_HOOK, TRACE_HOOK
 
-    hooks: list[Hook] = [VALIDATION_HOOK]
+    hooks: list[Hook] = []
     if getattr(context, "budget", None) is not None:
         # Lazy: repro.resilience sits above repro.hooks in the layering.
         from repro.resilience.budget import BUDGET_HOOK

@@ -377,11 +377,6 @@ class AutotuneHook(Hook):
         if launch.degenerate or launch.stats is None:
             return
         context = launch.context
-        from repro.backends.base import get_backend
-
-        impl = get_backend(context.backend)
-        if getattr(impl, "select_backend", None) is not None:
-            return  # a planning backend's own time prices nothing
         # The dispatch seam leaves the plan's density estimates on the
         # carrier (see kernels._note_plan_densities); only launches that
         # reached here without a plan (explicit autotune= on a static

@@ -295,10 +295,11 @@ class BudgetHook(Hook):
     """Charge the context's budget at the ``begin_launch`` seam.
 
     Assembled automatically by :func:`~repro.hooks.pipeline
-    .build_pipeline` whenever ``context.budget`` is set, right after
-    validation — a launch rejected for malformed operands spends no
-    budget, mirroring the fault plan's ordinal discipline.  Provides
-    ``launchless_pre`` so a budget-only context keeps the
+    .build_pipeline` whenever ``context.budget`` is set, first in the
+    built-in order.  Entry points validate their inputs before the
+    pipeline opens a launch, so a launch rejected for malformed operands
+    spends no budget, mirroring the fault plan's ordinal discipline.
+    Provides ``launchless_pre`` so a budget-only context keeps the
     allocation-free fast path.
     """
 
@@ -315,7 +316,6 @@ class BudgetHook(Hook):
         a: "np.ndarray",
         b: "np.ndarray",
         c: "np.ndarray | None",
-        validate_inputs: bool,
     ) -> None:
         budget = context.budget
         if budget is not None:

@@ -26,7 +26,7 @@ from repro.core.semiring import Semiring
 from repro.resilience.faults import ResilienceError
 from repro.resilience.policy import FallbackChain, RetryPolicy, resilient_mmo
 from repro.resilience.watchdog import ClosureWatchdog
-from repro.runtime.closure import ClosureResult, _iterate, matrices_equal
+from repro.runtime.closure import ClosureResult, _iterate
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hw.device import Simd2Device
@@ -104,8 +104,8 @@ def resilient_closure(
     shares: "tuple[DeviceShare, ...]" = ()
 
     def launch(
-        a: np.ndarray, b: np.ndarray, c: np.ndarray, check: bool, first_round: bool
-    ) -> tuple[np.ndarray, list[KernelStats], bool]:
+        a: np.ndarray, b: np.ndarray, c: np.ndarray
+    ) -> tuple[np.ndarray, list[KernelStats]]:
         nonlocal shares
         # Launches skip ring-input validation: iterates may carry NaN/±inf
         # legitimately (fault studies, NaN fixpoints) — the watchdog and
@@ -129,7 +129,7 @@ def resilient_closure(
             )
             shares = tuple(share_list)
             launched = [share.stats for share in shares]
-        return d, launched, check and matrices_equal(d, c)
+        return d, launched
 
     result = _iterate(
         ring, adjacency, launch,

@@ -320,7 +320,7 @@ def _launch_node(
     ref = builder.launch(
         opcode, builder.constant(a), builder.constant(b),
         None if c is None else builder.constant(c),
-        validate_inputs=False, **policy,
+        **policy,
     )
     result = resolve_scheduler(ctx).run(builder.build(), context=ctx)
-    return np.asarray(result[ref]), result.stats_of(ref)
+    return result[ref], result.stats_of(ref)

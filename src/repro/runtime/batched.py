@@ -130,6 +130,6 @@ def batched_mmo(
 
     graph, launch_refs = batched_graph(ctx, resolve_opcode(ring), a3, b3, c3, batch)
     result = resolve_scheduler(ctx).run(graph, context=ctx)
-    outputs = [np.asarray(result[ref]) for ref in launch_refs]
+    outputs = [result[ref] for ref in launch_refs]
     stats_list = [result.stats_of(ref) for ref in launch_refs]
     return np.stack(outputs), BatchStats(batch=batch, per_item=tuple(stats_list))

@@ -38,7 +38,7 @@ from repro.core.semiring import Semiring, SemiringError
 from repro.hooks.pipeline import emit_event
 from repro.hw.device import Simd2Device
 from repro.runtime.context import ExecutionContext, resolve_context
-from repro.runtime.kernels import KernelStats
+from repro.runtime.kernels import KernelStats, _validate_ring_inputs
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.resilience.watchdog import ClosureDiagnostics, ClosureWatchdog
@@ -55,13 +55,11 @@ __all__ = [
 BLOCK = 64
 
 #: One ``D = C ⊕ (A ⊗ B)`` launch, as a closure driver supplies it:
-#: ``launch(a, b, c, check, first_round)`` returns ``D``, the statistics of
-#: the kernel launches that produced it, and — when ``check`` — whether
-#: ``D`` equals ``C``.  ``first_round`` marks the launches of the first
-#: iteration (the ones ``validate_inputs`` applies to).
+#: ``launch(a, b, c)`` returns ``D`` and the statistics of the kernel
+#: launches that produced it.
 Launch = Callable[
-    [np.ndarray, np.ndarray, np.ndarray, bool, bool],
-    tuple[np.ndarray, list[KernelStats], bool],
+    [np.ndarray, np.ndarray, np.ndarray],
+    tuple[np.ndarray, list[KernelStats]],
 ]
 
 
@@ -169,6 +167,7 @@ def _iterate(
     max_iterations: int | None,
     watchdog: "bool | ClosureWatchdog",
     on_budget: str = "raise",
+    validate: bool = False,
 ) -> ClosureResult:
     """The Figure-7 host loop behind :func:`closure` (and so
     :meth:`~repro.runtime.host.HostRuntime.run_closure`) and
@@ -177,7 +176,12 @@ def _iterate(
     The loop owns the schedule of every method — which ``A``, ``B`` and
     ``C`` each launch reads, the bound, the watchdog, the convergence
     check and the budget brownout.  A driver supplies only ``launch``,
-    one ``C ⊕ (A ⊗ B)`` on its own substrate (see :data:`Launch`).
+    one ``C ⊕ (A ⊗ B)`` on its own substrate (see :data:`Launch`); after
+    each checked launch the loop compares ``D`` with ``C`` itself
+    (:func:`matrices_equal`), the CUDA-core check of the paper's Figure 7.
+    ``validate`` checks the cast ``D₀`` once as ``A``, ``B`` and ``C``,
+    after the shape, method and idempotence checks and before any
+    launch.
     """
     # Lazy: repro.resilience imports the runtime package.
     from repro.resilience.budget import BudgetError
@@ -190,6 +194,8 @@ def _iterate(
             f"blocked closure requires an idempotent ⊕; semiring {ring.name!r} "
             "is not supported"
         )
+    if validate:
+        _validate_ring_inputs(ring, current, current, current)
     n = current.shape[0]
     guard = None
     if watchdog:
@@ -204,37 +210,37 @@ def _iterate(
     blocks_closed = True
 
     def run(
-        a: np.ndarray, b: np.ndarray, c: np.ndarray, check: bool, first: bool
+        a: np.ndarray, b: np.ndarray, c: np.ndarray, check: bool
     ) -> tuple[np.ndarray, bool]:
+        """One launch; returns ``D`` and, when ``check``, whether ``D == C``."""
         nonlocal checks
-        d, stats, same = launch(a, b, c, check, first)
+        d, stats = launch(a, b, c)
         all_stats.extend(stats)
         checks += check
-        return d, same
+        return d, check and matrices_equal(d, c)
 
     def step(d: np.ndarray, index: int) -> tuple[np.ndarray, bool]:
         """One iteration; returns the iterate and whether it is the closure."""
         nonlocal blocks_closed
-        first = index == 0
         if method == "leyzorek":
-            return run(d, d, d, convergence_check, first)
+            return run(d, d, d, convergence_check)
         if method == "bellman-ford":
-            return run(d, base, d, convergence_check, first)
+            return run(d, base, d, convergence_check)
         # A blocked round over K = [lo, hi): square D[K,K] to its fixpoint,
         # form the row panel R = D[K,:] ⊕ (D[K,K]* ⊗ D[K,:]), then apply
         # the rank-|K| update D ⊕ (D[:,K] ⊗ R).
         lo, hi = index * BLOCK, min(n, (index + 1) * BLOCK)
         block, closed = d[lo:hi, lo:hi], False
         for _ in range(max_iterations_for("leyzorek", hi - lo) + int(convergence_check)):
-            block, closed = run(block, block, block, convergence_check, first)
+            block, closed = run(block, block, block, convergence_check)
             if closed:
                 break
         blocks_closed = blocks_closed and closed
         if hi - lo == n:  # one block: the closed block is the matrix
             return block, closed
         rows = d[lo:hi]
-        panel, _ = run(block, rows, rows, False, first)
-        updated, _ = run(d[:, lo:hi], panel, d, False, first)
+        panel, _ = run(block, rows, rows, False)
+        updated, _ = run(d[:, lo:hi], panel, d, False)
         return updated, blocks_closed and hi == n
 
     converged = False
@@ -337,10 +343,10 @@ def closure(
     validate_inputs:
         Closures legitimately iterate non-finite state — ``±inf`` "no
         edge" entries are data, and a NaN fixpoint must still converge —
-        so per-iteration ring-input validation is **off** by default
-        (the watchdog is the in-loop poison detector).  Pass ``True`` to
-        reject a NaN / oppositely-signed-inf *initial* adjacency on the
-        launches of the first iteration before iterating.
+        so ring-input validation is **off** by default (the watchdog is
+        the in-loop poison detector).  Pass ``True`` to reject a NaN /
+        oppositely-signed-inf *initial* adjacency once, before any
+        launch; the iterates are never validated.
     bands:
         Partition each launch's output rows into this many tile-aligned
         bands — independent launch nodes in the launch's
@@ -400,11 +406,8 @@ def closure(
       Floyd–Warshall over the intermediates ``0 … min(n, r·BLOCK) − 1``.
     - **n ≤ BLOCK.** One round whose block is the whole matrix: exactly
       Leyzorek's launches and checks, and no panel launches.
-    - **Input validation.** ``validate_inputs=True`` applies to every
-      launch of round 0.  Its rank-``BLOCK`` update reads all of ``D₀``
-      as its accumulator, so a NaN anywhere in ``D₀`` is rejected; an
-      oppositely-signed infinity is an operand error only where round 0
-      reads it as ``A`` or ``B``, in the first block's rows and columns.
+    - **Input validation.** ``validate_inputs=True`` validates ``D₀``
+      once as ``A``, ``B`` and ``C``, as for every method.
     - **Precision.** When every path value is fp16-exact (as with the
       benchmark inputs' grid weights and ±inf "no edge"), every method is
       bit-identical to :func:`~repro.apps.floyd_warshall.floyd_warshall`.
@@ -422,10 +425,9 @@ def closure(
         raise SemiringError(
             f"on_budget must be 'raise' or 'brownout', got {on_budget!r}"
         )
-    # Each launch is a LaunchGraph (band launches + the NaN-safe check
-    # node); the ArtifactPool outlives it, so a cold cache shows one
-    # compile miss per launch shape, then hits.  Lazy: repro.sched runs
-    # our loops.
+    # Each launch is a LaunchGraph of band launches; the ArtifactPool
+    # outlives it, so a cold cache shows one compile miss per launch
+    # shape, then hits.  Lazy: repro.sched runs our loops.
     from repro.sched.builders import ArtifactPool, closure_step_graph
     from repro.sched.executor import resolve_scheduler
 
@@ -434,27 +436,17 @@ def closure(
     scheduler = resolve_scheduler(ctx)
 
     def launch(
-        a: np.ndarray, b: np.ndarray, c: np.ndarray, check: bool, first_round: bool
-    ) -> tuple[np.ndarray, list[KernelStats], bool]:
-        # Only the first round sees the caller's validate_inputs choice;
-        # later rounds iterate whatever the ring produced (NaN fixpoints
-        # and injected faults included — the watchdog owns in-loop
-        # detection).
-        graph, out_ref, check_ref, launch_refs = closure_step_graph(
-            ctx, pool, opcode, a, b, c,
-            bands=bands, convergence_check=check,
-            validate_inputs=validate_inputs and first_round,
+        a: np.ndarray, b: np.ndarray, c: np.ndarray
+    ) -> tuple[np.ndarray, list[KernelStats]]:
+        graph, out_ref, launch_refs = closure_step_graph(
+            ctx, pool, opcode, a, b, c, bands=bands
         )
         result = scheduler.run(graph, context=ctx)
-        return (
-            np.asarray(result[out_ref]),
-            [result.stats_of(ref) for ref in launch_refs],
-            check_ref is not None and bool(result[check_ref]),
-        )
+        return result[out_ref], [result.stats_of(ref) for ref in launch_refs]
 
     return _iterate(
         ring, adjacency, launch,
         context=ctx, api="closure", method=method,
         convergence_check=convergence_check, max_iterations=max_iterations,
-        watchdog=watchdog, on_budget=on_budget,
+        watchdog=watchdog, on_budget=on_budget, validate=validate_inputs,
     )

@@ -80,7 +80,7 @@ class ExecutionContext:
         ``None`` (the default) injects nothing and costs nothing.
     hooks:
         Custom :class:`~repro.hooks.pipeline.Hook` instances appended to
-        the built-in pipeline.  The built-in trace/fault/validation hooks are
+        the built-in pipeline.  The built-in trace/fault hooks are
         implied by the ``trace``/``fault_plan`` fields and need not be
         listed here.
     autotune:

@@ -24,10 +24,12 @@ All backends produce matching results (bit-for-bit for the min/max/or
 rings and for integer-valued data; up to summation-order ulps otherwise),
 which is exactly the cross-validation the paper's framework performs.
 
-This module owns the *dispatch seam*: shape validation, backend
-resolution through the :class:`~repro.runtime.context.ExecutionContext`,
-and cached compilation.  Every cross-cutting per-launch concern — input
-validation, fault injection, trace recording (including whether the plan
+This module owns the *dispatch seam*: shape and ring-input validation,
+backend resolution through the
+:class:`~repro.runtime.context.ExecutionContext`, and cached compilation.
+Ring inputs are validated once per call, by the entry point, before
+anything is planned or compiled.  Every cross-cutting per-launch concern
+— budgets, fault injection, trace recording (including whether the plan
 cache hit and what the optimiser removed) — runs through the context's
 :class:`~repro.hooks.pipeline.HookPipeline`: the compile step is
 bracketed by ``pre_compile``/``post_compile`` hooks and the backend call
@@ -358,10 +360,12 @@ def _launch(
 
     Checks the backend's declared capabilities before anything else, so
     a violation fails on every input, empty outputs included (a planning
-    backend selects per launch instead).  Then: the empty-output fast
-    path, the planning backend's selection, the compile when no
-    artifact was given, and the one backend call bracketed by the
-    pipeline's ``begin_launch``/``finish_launch``.
+    backend selects per launch instead).  Then the ring inputs, when
+    ``validate_inputs``: a rejected launch plans nothing, compiles
+    nothing and claims no fault ordinal or budget.  Then: the
+    empty-output fast path, the planning backend's selection, the
+    compile when no artifact was given, and the one backend call
+    bracketed by the pipeline's ``begin_launch``/``finish_launch``.
     """
     from repro.backends.base import (  # lazy: backends import us
         check_backend_capability,
@@ -377,12 +381,11 @@ def _launch(
         check_backend_capability(
             impl, opcode.semiring, has_accumulator=has_accumulator
         )
+    if validate_inputs:
+        _validate_ring_inputs(opcode.semiring, a, b, c)
     pipeline = ctx.pipeline
     if m == 0 or n == 0:
-        launch = pipeline.begin_launch(
-            ctx, api, opcode, a, b, c,
-            validate_inputs=validate_inputs, degenerate=True,
-        )
+        launch = pipeline.begin_launch(ctx, api, opcode, a, b, c, degenerate=True)
         empty, stats = _degenerate_result(opcode.semiring, m, n, k, c)
         return pipeline.finish_launch(launch, empty, stats, 0.0), stats
     if compiled is not None:
@@ -403,7 +406,6 @@ def _launch(
 
     launch = pipeline.begin_launch(
         ctx, api, opcode, a, b, c,
-        validate_inputs=validate_inputs,
         cache_hit=cache_hit,
         optimizer_removed=compiled.optimizer_removed,
         fault_ordinal=fault_ordinal,
@@ -433,16 +435,16 @@ def execute_compiled(
     This is the execute half of the split, used by loop-shaped entry
     points (closure iteration, batched launches, multi-device bands) that
     compile once up front: operands are validated against the artifact's
-    operand-shape spec, the context's hook pipeline brackets the backend
-    call (ring-input validation, fault injection, trace recording — the
-    same launch body as :func:`mmo_tiled`), and the launch is recorded
-    with ``cache_hit`` (callers pass the compile call's hit flag for the
-    first iteration and ``True`` for replays).
+    operand-shape spec and, when ``validate_inputs``, against the ring;
+    the context's hook pipeline brackets the backend call (budgets, fault
+    injection, trace recording — the same launch body as
+    :func:`mmo_tiled`), and the launch is recorded with ``cache_hit``
+    (callers pass the compile call's hit flag for the first iteration and
+    ``True`` for replays).
 
     ``validate_inputs=False`` opts out of ring-input poison validation,
-    exactly as on :func:`mmo_tiled` — loop entry points that deliberately
-    iterate non-finite state (NaN fixpoints, fault studies) validate once
-    up front, or not at all, and disable the per-replay check.
+    exactly as on :func:`mmo_tiled` — loop entry points validate once per
+    call, up front, and replay every launch with it off.
 
     ``fault_ordinal`` hands the launch a pre-reserved fault-plan ordinal
     (a :mod:`repro.sched` graph node numbered at build time); ``None``
@@ -496,8 +498,9 @@ def mmo_tiled(
     validate_inputs:
         Reject value-poisoned operands (NaN, and oppositely-signed inf on
         min-plus/max-plus) with a :class:`OperandValidationError` before
-        launching — see :func:`_validate_ring_inputs`.  Loop entry points
-        that deliberately iterate non-finite state may disable it.
+        anything is planned or compiled — see
+        :func:`_validate_ring_inputs`.  Loop entry points that
+        deliberately iterate non-finite state may disable it.
     fault_ordinal:
         Pre-reserved fault-plan ordinal for this launch (graph nodes are
         numbered at build time by :mod:`repro.sched`); ``None`` claims
@@ -579,6 +582,4 @@ def mmo_tiled_split_k(
         ctx, opcode, a, b, c, splits=splits
     )
     result = resolve_scheduler(ctx).run(graph, context=ctx)
-    stats_list = [result.stats_of(ref) for ref in launch_refs]
-    combined = np.asarray(result[out_ref])
-    return combined, stats_list
+    return result[out_ref], [result.stats_of(ref) for ref in launch_refs]

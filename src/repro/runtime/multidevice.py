@@ -196,4 +196,4 @@ def mmo_tiled_multi_device(
             DeviceShare(index, row_start, row_stop, result.stats_of(ref))
             for index, row_start, row_stop, ref in bands
         ]
-        return np.asarray(result[out_ref]), shares
+        return result[out_ref], shares

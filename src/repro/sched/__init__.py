@@ -5,8 +5,8 @@ loop-shaped entry point in :mod:`repro.runtime` (closure launches,
 which :meth:`~repro.runtime.host.HostRuntime.run_closure` also runs,
 :func:`~repro.runtime.batched.batched_mmo`, split-k,
 :func:`~repro.runtime.multidevice.mmo_tiled_multi_device`) lowers its work
-onto a :class:`LaunchGraph` — launch / reduce / gather / check nodes
-with explicit data dependencies and build-time fault ordinals — and a
+onto a :class:`LaunchGraph` — launch / reduce / gather nodes with
+explicit data dependencies and build-time fault ordinals — and a
 :class:`Scheduler` decides how to run it.
 
 :class:`SerialExecutor` (the default) is bit-identical to the pre-graph
@@ -38,7 +38,6 @@ from repro.sched.executor import (
     resolve_scheduler,
 )
 from repro.sched.graph import (
-    CheckStep,
     GatherStep,
     GraphBuilder,
     GraphError,
@@ -51,7 +50,6 @@ from repro.sched.graph import (
 
 __all__ = [
     "ArtifactPool",
-    "CheckStep",
     "GatherStep",
     "GraphBuilder",
     "GraphError",

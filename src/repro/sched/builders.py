@@ -2,9 +2,9 @@
 
 Each builder takes the validated operands of one runtime entry point and
 produces a :class:`~repro.sched.graph.LaunchGraph` plus the references
-the entry point reads back (combined output, per-launch statistics, the
-convergence flag).  The lowering preserves the observable behaviour of
-the hand-rolled loops exactly:
+the entry point reads back (combined output, per-launch statistics).
+The lowering preserves the observable behaviour of the hand-rolled loops
+exactly:
 
 - **cache-hit signatures**: one :class:`ArtifactPool` per entry-point
   call compiles each distinct launch shape once through
@@ -141,7 +141,6 @@ def split_k_graph(
                 None,
                 compiled=compiled,
                 cache_hit=hit,
-                validate_inputs=False,
             )
         )
     if not launch_refs:
@@ -149,8 +148,7 @@ def split_k_graph(
         compiled, hit = pool.artifact(opcode, m, n, k, has_accumulator=False)
         launch_refs.append(
             builder.launch(
-                opcode, a_ref, b_ref, None,
-                compiled=compiled, cache_hit=hit, validate_inputs=False,
+                opcode, a_ref, b_ref, None, compiled=compiled, cache_hit=hit
             )
         )
     inputs = list(launch_refs)
@@ -206,7 +204,6 @@ def batched_graph(
                 None if c3 is None else builder.constant(pick(c3, index)),
                 compiled=compiled,
                 cache_hit=hit,
-                validate_inputs=False,
             )
         )
     return builder.build(), launch_refs
@@ -221,24 +218,22 @@ def closure_step_graph(
     c: np.ndarray,
     *,
     bands: int = 1,
-    convergence_check: bool = False,
-    validate_inputs: bool = False,
-) -> tuple[LaunchGraph, Ref, Ref | None, list[Ref]]:
+) -> tuple[LaunchGraph, Ref, list[Ref]]:
     """Lower one closure launch ``C ⊕ (A ⊗ B)`` (optionally banded).
 
     :func:`~repro.runtime.closure.closure` runs every launch of every
     method through this one builder — a Leyzorek squaring is
     ``A = B = C = D``, a blocked round's panel and rank-64 update pass
-    their blocks.  With ``bands == 1`` it is one whole launch plus an
-    optional convergence check that compares the output against ``C``.
-    With more bands, the rows of ``A`` and ``C`` are partitioned on tile
+    their blocks.  With ``bands == 1`` it is one whole launch.  With
+    more bands, the rows of ``A`` and ``C`` are partitioned on tile
     boundaries into independent launches (each band computes
     ``C[r] ⊕ (A[r] ⊗ B)``) and gathered — bit-identical because every
-    band's rows are disjoint.
+    band's rows are disjoint.  The convergence check is the closure
+    loop's, not a graph node.
 
     The caller owns the :class:`ArtifactPool` so compile state persists
-    across launches.  Returns ``(graph, output ref, check ref or None,
-    per-band launch refs)``.
+    across launches.  Returns ``(graph, output ref, per-band launch
+    refs)``.
     """
     from repro.backends.tiling import partition_bands  # lazy: layered above
 
@@ -263,7 +258,6 @@ def closure_step_graph(
             c_ref if whole else c_ref.window(rows=(row_start, row_stop)),
             compiled=compiled,
             cache_hit=hit,
-            validate_inputs=validate_inputs,
         )
         launch_refs.append(ref)
         pieces.append((row_start, row_stop, ref))
@@ -273,8 +267,7 @@ def closure_step_graph(
         out_ref = builder.gather(
             (m, n), semiring.output_dtype, tuple(pieces)
         )
-    check_ref = builder.check(out_ref, c_ref) if convergence_check else None
-    return builder.build(), out_ref, check_ref, launch_refs
+    return builder.build(), out_ref, launch_refs
 
 
 def multidevice_graph(
@@ -335,7 +328,6 @@ def multidevice_graph(
             None if c_ref is None else c_ref.window(rows=(row_start, row_stop)),
             compiled=compiled,
             cache_hit=hit,
-            validate_inputs=False,
             device=device,
             device_index=index,
             label=f"band [{row_start}:{row_stop})",

@@ -45,10 +45,8 @@ import numpy as np
 
 from repro.hw.errors import HardwareError
 from repro.hooks.pipeline import emit_event
-from repro.runtime.closure import matrices_equal
 from repro.runtime.kernels import KernelStats, execute_compiled, mmo_tiled
 from repro.sched.graph import (
-    CheckStep,
     GatherStep,
     GraphError,
     LaunchGraph,
@@ -70,10 +68,10 @@ __all__ = [
 ]
 
 def _resolve(
-    graph: LaunchGraph, values: "list[np.ndarray | bool | None]", ref: Ref
-) -> "np.ndarray | bool":
+    graph: LaunchGraph, values: "list[np.ndarray | None]", ref: Ref
+) -> np.ndarray:
     """Materialise a reference against computed node values."""
-    base: "np.ndarray | bool | None"
+    base: "np.ndarray | None"
     if ref.const is not None:
         base = graph.constants[ref.const]
     else:
@@ -82,10 +80,8 @@ def _resolve(
     if base is None:
         raise GraphError(f"reference to unevaluated node {ref.node}")
     if ref.rows is not None:
-        assert isinstance(base, np.ndarray)
         base = base[ref.rows[0] : ref.rows[1]]
     if ref.cols is not None:
-        assert isinstance(base, np.ndarray)
         base = base[:, ref.cols[0] : ref.cols[1]]
     return base
 
@@ -101,14 +97,14 @@ class GraphResult:
     def __init__(
         self,
         graph: LaunchGraph,
-        values: "list[np.ndarray | bool | None]",
+        values: "list[np.ndarray | None]",
         stats: "list[KernelStats | None]",
     ):
         self.graph = graph
         self._values = values
         self._stats = stats
 
-    def __getitem__(self, ref: Ref) -> "np.ndarray | bool":
+    def __getitem__(self, ref: Ref) -> np.ndarray:
         return _resolve(self.graph, self._values, ref)
 
     def stats_of(self, ref: Ref) -> KernelStats:
@@ -217,20 +213,24 @@ def _attempt(
     node: LaunchStep, a: np.ndarray, b: np.ndarray, c: np.ndarray | None,
     ctx: "ExecutionContext", ordinal: int | None,
 ) -> tuple[np.ndarray, KernelStats]:
-    """One launch attempt: replay the artifact (or dispatch), wrap hw errors."""
+    """One launch attempt: replay the artifact (or dispatch), wrap hw errors.
+
+    Ring inputs are not re-validated: the entry point that built the
+    graph validated them once for the whole call.
+    """
     try:
         if node.compiled is not None:
             return execute_compiled(
                 node.compiled, a, b, c,
                 context=ctx, api=node.api,
                 cache_hit=node.cache_hit,
-                validate_inputs=node.validate_inputs,
+                validate_inputs=False,
                 fault_ordinal=ordinal,
             )
         return mmo_tiled(
             node.opcode, a, b, c,
             context=ctx, api=node.api,
-            validate_inputs=node.validate_inputs,
+            validate_inputs=False,
             fault_ordinal=ordinal,
         )
     except HardwareError as exc:
@@ -245,7 +245,7 @@ def _attempt(
 def _run_launch(
     graph: LaunchGraph,
     node: LaunchStep,
-    values: "list[np.ndarray | bool | None]",
+    values: "list[np.ndarray | None]",
     context: "ExecutionContext",
 ) -> tuple[np.ndarray, KernelStats]:
     """One launch node: a single attempt, or the one recovery driver.
@@ -261,8 +261,6 @@ def _run_launch(
     a = _resolve(graph, values, node.a)
     b = _resolve(graph, values, node.b)
     c = None if node.c is None else _resolve(graph, values, node.c)
-    assert isinstance(a, np.ndarray) and isinstance(b, np.ndarray)
-    assert c is None or isinstance(c, np.ndarray)
     context = context if node.device is None else context.replace(device=node.device)
     if not (node.checked or node.retry is not None or node.fallback is not None):
         return _attempt(node, a, b, c, context, node.fault_ordinal)
@@ -348,10 +346,10 @@ def _run_launch(
 def _run_node(
     graph: LaunchGraph,
     index: int,
-    values: "list[np.ndarray | bool | None]",
+    values: "list[np.ndarray | None]",
     context: "ExecutionContext",
     locks: _LockTable,
-) -> "tuple[np.ndarray | bool, KernelStats | None]":
+) -> "tuple[np.ndarray, KernelStats | None]":
     node: Step = graph.nodes[index]
     if isinstance(node, LaunchStep):
         with locks.guard_for(node):
@@ -359,7 +357,6 @@ def _run_node(
         return result, stats
     if isinstance(node, ReduceStep):
         combined = _resolve(graph, values, node.inputs[0])
-        assert isinstance(combined, np.ndarray)
         for ref in node.inputs[1:]:
             combined = np.asarray(
                 node.semiring.oplus(combined, _resolve(graph, values, ref)),
@@ -371,10 +368,6 @@ def _run_node(
         for row_start, row_stop, ref in node.pieces:
             out[row_start:row_stop] = _resolve(graph, values, ref)
         return out, None
-    if isinstance(node, CheckStep):
-        x = _resolve(graph, values, node.x)
-        y = _resolve(graph, values, node.y)
-        return matrices_equal(x, y), None
     raise GraphError(f"unknown node type {type(node).__name__}")
 
 
@@ -391,7 +384,7 @@ class SerialExecutor:
         self, graph: LaunchGraph, *, context: "ExecutionContext"
     ) -> GraphResult:
         total = len(graph.nodes)
-        values: "list[np.ndarray | bool | None]" = [None] * total
+        values: "list[np.ndarray | None]" = [None] * total
         stats: "list[KernelStats | None]" = [None] * total
         interruptible = _interruptible(context)
         for index in range(total):
@@ -425,7 +418,7 @@ class ThreadPoolExecutor:
         self, graph: LaunchGraph, *, context: "ExecutionContext"
     ) -> GraphResult:
         total = len(graph.nodes)
-        values: "list[np.ndarray | bool | None]" = [None] * total
+        values: "list[np.ndarray | None]" = [None] * total
         stats: "list[KernelStats | None]" = [None] * total
         dependents: list[list[int]] = [[] for _ in range(total)]
         remaining = [0] * total
@@ -436,7 +429,7 @@ class ThreadPoolExecutor:
                 dependents[dep].append(index)
         locks = _LockTable(serialize_backend=_needs_backend_lock(context))
         errors: list[tuple[int, BaseException]] = []
-        pending: "dict[concurrent.futures.Future[tuple[np.ndarray | bool, KernelStats | None]], int]" = {}
+        pending: "dict[concurrent.futures.Future[tuple[np.ndarray, KernelStats | None]], int]" = {}
         interruptible = _interruptible(context)
         interrupted = False
 

@@ -5,11 +5,13 @@ iterations, batch items, split-k partials, multi-device row bands — used
 to hand-roll its own orchestration loop around
 :func:`~repro.runtime.kernels.execute_compiled`.  This module gives those
 loops one shared intermediate form: a :class:`LaunchGraph` whose nodes
-are compiled-launch, ⊕-reduce, row-gather, and convergence-check steps
-with *explicit* data dependencies, built by :class:`GraphBuilder` and run
-by a :class:`~repro.sched.executor.Scheduler`.  The same lower-then-
-schedule split the compile layer takes per launch (lower the shape, then
-pick how to execute the artifact), applied one level up, across launches.
+are compiled-launch, ⊕-reduce and row-gather steps with *explicit* data
+dependencies, built by :class:`GraphBuilder` and run by a
+:class:`~repro.sched.executor.Scheduler`.  The same lower-then-schedule
+split the compile layer takes per launch (lower the shape, then pick how
+to execute the artifact), applied one level up, across launches.  Every
+node produces an array; per-call concerns — ring-input validation, the
+closure loop's convergence check — stay with the entry point.
 
 Two properties are load-bearing for bit-identical parallel execution:
 
@@ -49,7 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.context import ExecutionContext
 
 __all__ = [
-    "CheckStep",
     "GatherStep",
     "GraphBuilder",
     "GraphError",
@@ -116,6 +117,8 @@ class LaunchStep:
     with ``cache_hit`` recorded on the launch.  ``fault_ordinal``
     is the node's build-time-reserved fault-plan ordinal (``None`` when
     no plan rides the context, or for degenerate empty-output launches).
+    A node never validates ring inputs: the entry point that built the
+    graph did that once, for the whole call.
 
     The resilience fields make recovery per-node *policy*, applied by
     the executor's one recovery driver: ``checked`` verifies the result
@@ -135,7 +138,6 @@ class LaunchStep:
     c: Ref | None = None
     compiled: "CompiledMmo | None" = None
     cache_hit: bool | None = None
-    validate_inputs: bool = True
     fault_ordinal: int | None = None
     device: "Simd2Device | None" = None
     device_index: int | None = None
@@ -188,24 +190,7 @@ class GatherStep:
             yield ref
 
 
-@dataclasses.dataclass(frozen=True)
-class CheckStep:
-    """Element-wise convergence check: ``x == y`` as one boolean.
-
-    Uses the fixpoint semantics of
-    :func:`~repro.runtime.closure.matrices_equal` (a NaN fixpoint is a
-    fixpoint).
-    """
-
-    x: Ref
-    y: Ref
-
-    def refs(self) -> Iterator[Ref]:
-        yield self.x
-        yield self.y
-
-
-Step = Union[LaunchStep, ReduceStep, GatherStep, CheckStep]
+Step = Union[LaunchStep, ReduceStep, GatherStep]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -299,7 +284,6 @@ class GraphBuilder:
         *,
         compiled: "CompiledMmo | None" = None,
         cache_hit: bool | None = None,
-        validate_inputs: bool = True,
         device: "Simd2Device | None" = None,
         device_index: int | None = None,
         checked: bool = False,
@@ -330,7 +314,6 @@ class GraphBuilder:
             c=c,
             compiled=compiled,
             cache_hit=cache_hit,
-            validate_inputs=validate_inputs,
             fault_ordinal=fault_ordinal,
             device=device,
             device_index=device_index,
@@ -359,10 +342,6 @@ class GraphBuilder:
         return self._append(
             GatherStep(shape=shape, dtype=dtype, pieces=pieces), shape
         )
-
-    def check(self, x: Ref, y: Ref) -> Ref:
-        """Append a convergence check producing one boolean."""
-        return self._append(CheckStep(x=x, y=y), ())
 
     def build(self) -> LaunchGraph:
         return LaunchGraph(

@@ -313,6 +313,14 @@ class TestBlocked:
         with pytest.raises(OperandValidationError, match="NaN"):
             closure("min-plus", adj, method="blocked", validate_inputs=True)
 
+    def test_validate_inputs_rejects_opposite_infinity_anywhere(self):
+        from repro.runtime.kernels import OperandValidationError
+
+        adj = distance_graph(GraphSpec(100, 0.05, 3))
+        adj[90, 80] = -np.inf  # round 0 reads [90, 80] only as C
+        with pytest.raises(OperandValidationError, match="operand A.*-inf"):
+            closure("min-plus", adj, method="blocked", validate_inputs=True)
+
     @pytest.mark.parametrize(
         "ring, maximize", [("max-mul", True), ("min-mul", False)]
     )

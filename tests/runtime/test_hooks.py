@@ -170,8 +170,8 @@ class TestHookOrder:
         assert points.index("post_execute") > points.index("pre_execute")
 
     def test_builtin_validation_fires_before_custom_hooks(self, rng):
-        # Built-ins are registered first: a poisoned operand raises out of
-        # the validation hook before any custom pre_execute observes it.
+        # The entry point validates before it opens the launch: a poisoned
+        # operand raises before any custom pre_execute observes it.
         log: list = []
         ctx = ExecutionContext(
             trace=Trace(), hooks=(RecordingHook("late", log),)
@@ -202,6 +202,18 @@ class TestHookOrder:
 
 
 class TestHookTeardown:
+    @pytest.mark.parametrize("backend", ["vectorized", "auto"])
+    def test_rejected_launch_compiles_and_plans_nothing(self, backend, rng):
+        trace = Trace()
+        ctx = ExecutionContext(backend=backend, trace=trace, plan_cache=PlanCache())
+        a, b, c = make_ring_inputs(SEMIRINGS["min-plus"], 32, 16, 32, rng)
+        a[3, 5] = np.nan
+        with pytest.raises(OperandValidationError, match="operand A.*NaN"):
+            mmo_tiled("min-plus", a, b, c, context=ctx)
+        assert trace.compiles == []
+        assert trace.plans == []
+        assert len(trace) == 0
+
     def test_raising_pre_execute_leaves_no_orphan_record(self, rng):
         trace = Trace()
         ctx = ExecutionContext(
@@ -253,8 +265,8 @@ class TestHotPath:
         assert ctx.pipeline is ctx.pipeline
 
     def test_default_pipeline_dispatches_launchless(self, rng):
-        # No trace, no faults: validation runs via the allocation-free
-        # form and begin_launch returns None instead of a Launch carrier.
+        # No trace, no faults: the pipeline is empty and begin_launch
+        # returns None instead of a Launch carrier.
         ctx = resolve_context(None)
         a, b, c = make_ring_inputs(SEMIRINGS["min-plus"], 32, 16, 32, rng)
         launch = ctx.pipeline.begin_launch(

@@ -137,7 +137,6 @@ class TestRecoveryDriver:
         from repro.runtime.kernels import OperandValidationError
 
         a, b, _ = make_ring_inputs(MIN_PLUS, 16, 16, 16, rng, with_c=False)
-        a[0, 0] = np.nan  # poisons min-plus: a deterministic rejection
         plan = FaultPlan()
         trace = Trace()
         greedy = RetryPolicy(max_retries=5, retry_on=(Exception,))
@@ -147,9 +146,11 @@ class TestRecoveryDriver:
                 resolve_opcode(MIN_PLUS),
                 builder.constant(a),
                 builder.constant(b),
+                # A mis-shaped accumulator: a deterministic rejection.
+                builder.constant(np.zeros((8, 16))),
                 retry=greedy,
             )
-            with pytest.raises(OperandValidationError, match="NaN"):
+            with pytest.raises(OperandValidationError, match="accumulator shape"):
                 SerialExecutor().run(builder.build(), context=ctx)
         assert plan.launches_seen == 1  # the build-time ordinal, no retry
         assert trace.events_of("retry") == []

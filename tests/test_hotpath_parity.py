@@ -151,6 +151,19 @@ class TestRegistryBackendParity:
             np.testing.assert_array_equal(a, a_before)
             np.testing.assert_array_equal(b, b_before)
 
+    def test_aligned_accumulator_is_only_read(self, name, backend):
+        # An aligned C in the output dtype reaches the backend uncopied
+        # (plan_mmo copies only what it pads): the caller's C must come
+        # back unchanged and unshared with the result.
+        self._skip_if_incapable(backend, name, has_accumulator=True)
+        ring = SEMIRINGS[name]
+        a, b, c = self._operands(ring, 32, 16, 48, seed=0xC0C)
+        c = c.astype(ring.output_dtype)
+        c_before = c.copy()
+        got, _ = mmo_tiled(name, a, b, c, backend=backend)
+        np.testing.assert_array_equal(c, c_before)
+        assert not np.shares_memory(got, c)
+
     def test_degenerate_inner_dimension(self, name, backend):
         self._skip_if_incapable(backend, name)
         ring = SEMIRINGS[name]
@@ -180,6 +193,24 @@ def test_no_accumulator_launch_allocates_little_beyond_its_output():
     finally:
         tracemalloc.stop()
     assert peak < 2 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the output"
+
+
+def test_aligned_accumulator_launch_copies_c_once():
+    # An aligned fp32 C needs no padding, so plan_mmo hands it on as it is
+    # and the kernel's own cast is the one copy of it.
+    rng = np.random.default_rng(4)
+    a = rng.uniform(0.0, 4.0, (768, 64))
+    b = rng.uniform(0.0, 4.0, (64, 768))
+    c = rng.uniform(0.0, 8.0, (768, 768)).astype(np.float32)
+    mmo_tiled("min-plus", a, b, c, backend="vectorized")  # compile and warm up
+    tracemalloc.start()
+    try:
+        out, _ = mmo_tiled("min-plus", a, b, c, backend="vectorized")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.6 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the output"
+
 
 
 class TestBatchedMmoParity:
