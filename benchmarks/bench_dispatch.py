@@ -34,7 +34,6 @@ import argparse
 import json
 import platform
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +42,8 @@ from repro.backends import get_backend, list_backends
 from repro.compile import PlanCache, compile_mmo, resolve_opcode
 from repro.core import SEMIRINGS
 from repro.runtime import ExecutionContext, mmo_tiled
+
+from interleaved import interleaved_mins
 
 DISPATCH_N = 512
 DISPATCH_REPEATS = 5
@@ -105,19 +106,6 @@ def parity_smoke(records: list[dict]) -> None:
                   f"(mmos={stats.mmo_instructions})")
 
 
-def _interleaved_mins(fn_a, fn_b, repeats: int) -> tuple[float, float]:
-    """min-of-repeats for two fns, alternating so drift hits both alike."""
-    best_a = best_b = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn_a()
-        best_a = min(best_a, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        fn_b()
-        best_b = min(best_b, time.perf_counter() - t0)
-    return best_a, best_b
-
-
 def dispatch_overhead(records: list[dict]) -> None:
     """Context-path cost over a direct backend call on a 512² mmo.
 
@@ -150,7 +138,7 @@ def dispatch_overhead(records: list[dict]) -> None:
     ta, tb = _operands(ring, 16, 16, 16, seed=5)
     direct_call(ta, tb)  # warm lazy imports
     mmo_tiled("plus-mul", ta, tb)
-    tiny_direct, tiny_context = _interleaved_mins(
+    tiny_direct, tiny_context = interleaved_mins(
         lambda: direct_call(ta, tb),
         lambda: mmo_tiled("plus-mul", ta, tb),
         TINY_REPEATS,
@@ -160,7 +148,7 @@ def dispatch_overhead(records: list[dict]) -> None:
     # (2) The kernel the overhead budget is expressed against.
     n = DISPATCH_N
     a, b = _operands(ring, n, n, n, seed=17)
-    direct, dispatched = _interleaved_mins(
+    direct, dispatched = interleaved_mins(
         lambda: direct_call(a, b),
         lambda: mmo_tiled("plus-mul", a, b),
         DISPATCH_REPEATS,
@@ -229,7 +217,7 @@ def hooks_overhead(records: list[dict]) -> None:
     )
     impl.execute(tiny, probe_a, probe_b, None, context=context)  # warm
     execute_compiled(tiny, probe_a, probe_b, context=context)
-    tiny_direct, tiny_piped = _interleaved_mins(
+    tiny_direct, tiny_piped = interleaved_mins(
         lambda: impl.execute(tiny, probe_a, probe_b, None, context=context),
         lambda: execute_compiled(tiny, probe_a, probe_b, context=context),
         TINY_REPEATS,
@@ -242,7 +230,7 @@ def hooks_overhead(records: list[dict]) -> None:
     compiled, _ = compile_in_context(
         context, opcode, n, n, n, has_accumulator=False
     )
-    direct, piped = _interleaved_mins(
+    direct, piped = interleaved_mins(
         lambda: impl.execute(compiled, a, b, None, context=context),
         lambda: execute_compiled(compiled, a, b, context=context),
         DISPATCH_REPEATS,
@@ -296,7 +284,7 @@ def closure_relaunch(records: list[dict]) -> None:
     # its measurement.
     cached_stats = run_loop(128).stats()
     uncached_stats = run_loop(0).stats()
-    cached, uncached = _interleaved_mins(
+    cached, uncached = interleaved_mins(
         lambda: run_loop(128), lambda: run_loop(0), RELAUNCH_REPEATS
     )
     ratio = cached / uncached

@@ -30,7 +30,6 @@ import argparse
 import json
 import platform
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +37,8 @@ import numpy as np
 from repro.hw import Simd2Device
 from repro.resilience import FaultPlan, FaultSpec, resilient_closure
 from repro.runtime import Trace, closure, use_context
+
+from interleaved import interleaved_mins
 
 E2E_N = 64
 E2E_DEVICES = 3
@@ -165,14 +166,9 @@ def checksum_overhead(records: list[dict]) -> None:
 
     unchecked()  # warm lazy imports before timing
     checked()
-    best_plain = best_checked = float("inf")
-    for _ in range(OVERHEAD_REPEATS):
-        t0 = time.perf_counter()
-        unchecked()
-        best_plain = min(best_plain, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        checked()
-        best_checked = min(best_checked, time.perf_counter() - t0)
+    best_plain, best_checked = interleaved_mins(
+        unchecked, checked, OVERHEAD_REPEATS
+    )
     ratio = best_checked / best_plain
     records.append(
         {

@@ -32,7 +32,6 @@ import json
 import os
 import platform
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +42,8 @@ from repro.runtime import mmo_tiled, use_context
 from repro.runtime.closure import closure
 from repro.runtime.kernels import mmo_tiled_split_k
 from repro.sched import ThreadPoolExecutor
+
+from interleaved import interleaved_mins
 
 DISPATCH_N = 512
 DISPATCH_REPEATS = 5
@@ -74,23 +75,10 @@ def _adjacency(n: int, seed: int = 0) -> np.ndarray:
     return adj
 
 
-def _interleaved_mins(fn_a, fn_b, repeats: int) -> tuple[float, float]:
-    """min-of-repeats for two fns, alternating so drift hits both alike."""
-    best_a = best_b = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn_a()
-        best_a = min(best_a, time.perf_counter() - t0)
-        t0 = time.perf_counter()
-        fn_b()
-        best_b = min(best_b, time.perf_counter() - t0)
-    return best_a, best_b
-
-
 def graph_overhead(records: list[dict]) -> None:
     """Single-launch graph cost over direct dispatch on a 512² mmo.
 
-    Building a GraphBuilder, reserving the node, and walking one node
+    Building a GraphBuilder, appending the launch, and running it
     through the serial scheduler is a per-call cost of tens of µs,
     independent of operand size; a 512² kernel runs for hundreds of ms
     with several percent of machine noise.  So, as in
@@ -102,12 +90,12 @@ def graph_overhead(records: list[dict]) -> None:
     ring = SEMIRINGS["plus-mul"]
 
     # (1) Per-call graph overhead, measured where it is measurable.
-    # splits=1 lowers to a one-launch graph: build + schedule + resolve,
-    # no reduce node — the minimal scheduler round trip.
+    # splits=1 lowers to a one-launch graph: build + schedule, nothing to
+    # fold — the minimal scheduler round trip.
     ta, tb = _operands(ring, 16, 16, 16, seed=5)
     mmo_tiled("plus-mul", ta, tb)  # warm lazy imports
     mmo_tiled_split_k("plus-mul", ta, tb, splits=1)
-    tiny_direct, tiny_graph = _interleaved_mins(
+    tiny_direct, tiny_graph = interleaved_mins(
         lambda: mmo_tiled("plus-mul", ta, tb),
         lambda: mmo_tiled_split_k("plus-mul", ta, tb, splits=1),
         TINY_REPEATS,
@@ -117,7 +105,7 @@ def graph_overhead(records: list[dict]) -> None:
     # (2) The kernel the overhead budget is expressed against.
     n = DISPATCH_N
     a, b = _operands(ring, n, n, n, seed=17)
-    direct, graphed = _interleaved_mins(
+    direct, graphed = interleaved_mins(
         lambda: mmo_tiled("plus-mul", a, b),
         lambda: mmo_tiled_split_k("plus-mul", a, b, splits=1),
         DISPATCH_REPEATS,
@@ -189,7 +177,7 @@ def banded_identity(records: list[dict]) -> None:
 def threaded_speedup(records: list[dict]) -> None:
     """w-band 2048² min-plus closure: w workers vs serial, w = min(4, CPUs).
 
-    The row bands are independent launch nodes over GIL-releasing NumPy
+    The row bands are independent launches over GIL-releasing NumPy
     kernels, so a w-worker pool on w cores must show real parallelism:
     the floor scales from 1.8× at 4 workers down to 1.27× at 2.  One CPU
     cannot express any — the gate is recorded as skipped there.
@@ -214,7 +202,7 @@ def threaded_speedup(records: list[dict]) -> None:
     _one_closure_iteration(warm, None, workers)
     _one_closure_iteration(warm, threaded_pool, workers)
 
-    serial, threaded = _interleaved_mins(
+    serial, threaded = interleaved_mins(
         lambda: _one_closure_iteration(adj, None, workers),
         lambda: _one_closure_iteration(adj, threaded_pool, workers),
         2,

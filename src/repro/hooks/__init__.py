@@ -1,16 +1,15 @@
 """Lifecycle hook pipeline for the SIMD² runtime.
 
 One seam for every cross-cutting dispatch concern: hooks registered at
-``pre_compile`` / ``post_compile`` / ``pre_execute`` / ``post_execute``
-plus an ``on_event`` channel, assembled per
+``post_compile`` / ``pre_execute`` / ``post_execute`` plus the
+``on_event`` and ``on_plan`` channels, assembled per
 :class:`~repro.runtime.context.ExecutionContext` and invoked by the
 runtime entry points instead of per-entry-point hand-threading.  See
 :mod:`repro.hooks.pipeline` for the contract and
-:mod:`repro.hooks.builtin` for the trace/fault/cache-stats hooks.
+:mod:`repro.hooks.builtin` for the trace and fault hooks.
 """
 
 from repro.hooks.builtin import (
-    CacheStatsHook,
     FaultHook,
     TraceHook,
 )
@@ -24,7 +23,6 @@ from repro.hooks.pipeline import (
 )
 
 __all__ = [
-    "CacheStatsHook",
     "EMPTY_PIPELINE",
     "FaultHook",
     "Hook",

@@ -8,18 +8,14 @@ fault → trace.  That order *is* load-bearing: fault corruption rewrites
 raises in ``pre_execute`` before any record is appended — a dropped
 launch leaves no ``LaunchRecord``.  Ring-input validation runs in the
 entry point before the pipeline opens the launch, so a rejected launch
-claims no fault-schedule slot and leaves no record.
-
-:class:`CacheStatsHook` is the odd one out: it is stateful (per-instance
-counters), so it is not part of the default assembly — attach a fresh
-instance via ``ExecutionContext(hooks=(CacheStatsHook(),))`` to meter one
-context's compile traffic (where the process-wide
-:class:`~repro.compile.cache.PlanCache` counters are too coarse).
+claims no fault-schedule slot and leaves no record.  To meter one
+context's compile traffic, attach a
+:class:`~repro.runtime.trace.Trace`: ``Trace.compiles[i].cache_hit``
+and ``TraceSummary.compile_requests`` count its compile hits.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import TYPE_CHECKING
 
 from repro.hooks.pipeline import Hook
@@ -31,7 +27,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.trace import PlanRecord, ResilienceEvent
 
 __all__ = [
-    "CacheStatsHook",
     "FaultHook",
     "TraceHook",
     "FAULT_HOOK",
@@ -159,48 +154,6 @@ class TraceHook(Hook):
         trace = context.trace
         if trace is not None:
             trace.record_plan(plan)
-
-
-class CacheStatsHook(Hook):
-    """Per-pipeline compile-traffic counters (hit/miss at the compile seam).
-
-    Unlike the process-wide :class:`~repro.compile.cache.PlanCache`
-    counters, an instance attached to one context meters only that
-    context's launches.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-
-    def post_compile(
-        self,
-        context: "ExecutionContext",
-        api: str,
-        compiled: "CompiledMmo",
-        cache_hit: bool,
-    ) -> None:
-        with self._lock:
-            if cache_hit:
-                self.hits += 1
-            else:
-                self.misses += 1
-
-    @property
-    def lookups(self) -> int:
-        with self._lock:
-            return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        with self._lock:
-            total = self.hits + self.misses
-            return self.hits / total if total else 0.0
-
-    def snapshot(self) -> dict[str, int]:
-        with self._lock:
-            return {"hits": self.hits, "misses": self.misses}
 
 
 #: Shared stateless instances used by the default pipeline assembly.

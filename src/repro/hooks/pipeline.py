@@ -6,9 +6,8 @@ and resilience events each apply to every runtime entry point
 multi-device bands).  Rather than hand-thread each concern through
 each entry point, this module carries **one pipeline** on the
 :class:`~repro.runtime.context.ExecutionContext`, with hooks invoked at
-four fixed lifecycle points plus an event channel:
+three fixed lifecycle points plus two channels:
 
-- ``pre_compile``  — before a launch shape is lowered/looked up;
 - ``post_compile`` — after the artifact is resolved (carries the cache
   hit flag);
 - ``pre_execute``  — after the entry point validated its inputs, before
@@ -66,7 +65,7 @@ __all__ = [
 class Hook:
     """Base class of lifecycle hooks.
 
-    Subclass and override any subset of the five points; the pipeline
+    Subclass and override any subset of the five hook methods; the pipeline
     inspects which methods are overridden at assembly time and only ever
     invokes those, so an unoverridden point costs nothing per launch.
     Instances attach to a context via ``ExecutionContext(hooks=(...))``.
@@ -80,18 +79,6 @@ class Hook:
     #: budget-only pipeline keeps the hot path allocation-free.  Hooks
     #: that need cross-point state (fault ordinals) leave it ``None``.
     launchless_pre = None
-
-    def pre_compile(
-        self,
-        context: "ExecutionContext",
-        api: str,
-        opcode: "MmoOpcode",
-        m: int,
-        n: int,
-        k: int,
-        has_accumulator: bool,
-    ) -> None:
-        """Before a launch shape is lowered or served from the plan cache."""
 
     def post_compile(
         self,
@@ -206,7 +193,6 @@ class HookPipeline:
 
     __slots__ = (
         "hooks",
-        "_pre_compile",
         "_post_compile",
         "_pre_execute",
         "_post_execute",
@@ -217,7 +203,6 @@ class HookPipeline:
 
     def __init__(self, hooks: Iterable[Hook] = ()):
         self.hooks = tuple(hooks)
-        self._pre_compile = _overriders(self.hooks, "pre_compile")
         self._post_compile = _overriders(self.hooks, "post_compile")
         self._pre_execute = _overriders(self.hooks, "pre_execute")
         self._post_execute = _overriders(self.hooks, "post_execute")
@@ -235,19 +220,6 @@ class HookPipeline:
     # ------------------------------------------------------------------
     # compile seam
     # ------------------------------------------------------------------
-    def pre_compile(
-        self,
-        context: "ExecutionContext",
-        api: str,
-        opcode: "MmoOpcode",
-        m: int,
-        n: int,
-        k: int,
-        has_accumulator: bool,
-    ) -> None:
-        for hook in self._pre_compile:
-            hook.pre_compile(context, api, opcode, m, n, k, has_accumulator)
-
     def post_compile(
         self,
         context: "ExecutionContext",

@@ -11,14 +11,14 @@ frozen context) and is charged at two seams:
   automatically whenever ``context.budget`` is set) charges one launch
   and checks the deadline before every backend invocation, on every
   dispatch path;
-- the **scheduler's ready-node dispatch** — both executors in
-  :mod:`repro.sched.executor` check the deadline between node
-  submissions, so a graph run stops *between* nodes (in-flight nodes
-  drain) and the raised error reports which node indices completed.
+- the **scheduler's launch dispatch** — both executors in
+  :mod:`repro.sched.executor` check the deadline before each launch
+  starts, so a graph run stops *between* launches (in-flight launches
+  drain) and the raised error reports which launch indices completed.
 
 Exhaustion is typed: :class:`DeadlineExceeded` for the clock,
 :class:`BudgetExhausted` for the quotas, both carrying partial-progress
-diagnostics (nodes completed, launches and retries spent, elapsed
+diagnostics (launches completed, launches and retries spent, elapsed
 seconds).  Time always flows through the context's injectable
 :class:`~repro.resilience.clock.Clock`, so a
 :class:`~repro.resilience.clock.VirtualClock` makes every deadline test
@@ -57,9 +57,10 @@ __all__ = [
 class BudgetError(ResilienceError):
     """Base of budget exhaustion errors; carries partial-progress state.
 
-    ``nodes_completed`` is the tuple of graph node indices that finished
-    before the budget tripped (``None`` when the trip happened outside a
-    scheduler run); ``launches_spent``/``retries_spent`` are the charges
+    ``nodes_completed`` is the tuple of the graph's launch indices that
+    finished before the deadline tripped (``None`` when the trip happened
+    outside a scheduler run; a fold or gather is the entry point's, not a
+    node); ``launches_spent``/``retries_spent`` are the charges
     accrued so far and ``elapsed_s`` the budget's age on its clock.
     """
 
@@ -110,7 +111,7 @@ class ExecutionBudget:
         :mod:`repro.sched.executor` charges one per retry, on every
         entry point).  ``None`` means unlimited.
 
-    The tracker is thread-safe (graph nodes charge concurrently) and,
+    The tracker is thread-safe (a graph's launches charge concurrently) and,
     like :class:`~repro.resilience.faults.FaultPlan`, deliberately
     mutable on the frozen context: one budget spans every launch of the
     request it meters.

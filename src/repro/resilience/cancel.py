@@ -4,18 +4,19 @@ A :class:`CancellationToken` rides on the
 :class:`~repro.runtime.context.ExecutionContext`; any thread may call
 :meth:`CancellationToken.cancel` at any moment.  Nothing is interrupted
 preemptively — the schedulers in :mod:`repro.sched.executor` check the
-token *between node submissions*: in-flight nodes drain to completion,
-pending nodes never start, and the run raises a typed
-:class:`OperationCancelled` reporting exactly which node indices
-finished.  Under the serial executor the completed set is a build-order
-prefix; under the thread pool it is some dependency-closed set (every
-completed node's dependencies also completed), and both raise the same
-typed error with the same reason.
+token *before each launch starts*: in-flight launches drain to
+completion, pending launches never start, and the run raises a typed
+:class:`OperationCancelled` reporting exactly which launch indices
+finished.  Under the serial executor the completed set is a launch-order
+prefix; under the thread pool it is whichever launches had started, and
+both raise the same typed error with the same reason.  A cancellation
+that lands after the last launch started stops nothing: the entry point
+folds or gathers the outputs and returns.
 
 Because fault ordinals are reserved at graph-build time, a cancelled run
 under a seeded :class:`~repro.resilience.faults.FaultPlan` injects
-exactly the faults its completed nodes would have seen in a full run —
-cancellation never perturbs the fault schedule.
+exactly the faults its completed launches would have seen in a full run
+— cancellation never perturbs the fault schedule.
 """
 
 from __future__ import annotations
@@ -30,10 +31,12 @@ __all__ = ["CancellationToken", "OperationCancelled"]
 class OperationCancelled(ResilienceError):
     """A run was stopped by its cancellation token.
 
-    ``nodes_completed`` lists the graph node indices that finished
-    before the stop (``None`` when cancellation tripped outside a
-    scheduler run); ``total_nodes`` is the graph size, so callers can
-    report partial progress without re-deriving it.
+    ``nodes_completed`` lists the indices of the graph's launches that
+    finished before the stop (``None`` when cancellation tripped outside
+    a scheduler run); ``total_nodes`` is the graph's launch count, so
+    callers can report partial progress without re-deriving it.  A
+    split-k fold or a row-band gather is not a node: it runs in the
+    entry point after the scheduler returns.
     """
 
     def __init__(

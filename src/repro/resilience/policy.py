@@ -304,7 +304,7 @@ def _launch_node(
     validate_inputs: bool,
     **policy: Any,
 ) -> "tuple[np.ndarray, KernelStats]":
-    """Run one launch node carrying ``policy``; reject bad operands first."""
+    """Run one launch carrying ``policy``; reject bad operands first."""
     from repro.compile.lower import resolve_opcode
     from repro.runtime.context import resolve_context
     from repro.runtime.kernels import _validate_operands, _validate_ring_inputs
@@ -317,10 +317,6 @@ def _launch_node(
     if validate_inputs:
         _validate_ring_inputs(opcode.semiring, a, b, c)
     builder = GraphBuilder(ctx, api)
-    ref = builder.launch(
-        opcode, builder.constant(a), builder.constant(b),
-        None if c is None else builder.constant(c),
-        **policy,
-    )
+    builder.launch(opcode, a, b, c, **policy)
     result = resolve_scheduler(ctx).run(builder.build(), context=ctx)
-    return result[ref], result.stats_of(ref)
+    return result.outputs[0], result.stats[0]

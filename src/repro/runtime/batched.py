@@ -121,15 +121,13 @@ def batched_mmo(
 
     # Every batch item has the same (m, n, k) — stacks are uniform — so one
     # compiled artifact serves the whole batch (the graph builder's
-    # ArtifactPool compiles it once and replays it per node).  The items
-    # are independent launch nodes, so a thread-pool scheduler on the
+    # ArtifactPool compiles it once and replays it per launch).  The items
+    # are independent launches, so a thread-pool scheduler on the
     # context runs them concurrently with bit-identical results.
     # Lazy: repro.sched orchestrates this module's loops.
     from repro.sched.builders import batched_graph
     from repro.sched.executor import resolve_scheduler
 
-    graph, launch_refs = batched_graph(ctx, resolve_opcode(ring), a3, b3, c3, batch)
+    graph = batched_graph(ctx, resolve_opcode(ring), a3, b3, c3, batch)
     result = resolve_scheduler(ctx).run(graph, context=ctx)
-    outputs = [result[ref] for ref in launch_refs]
-    stats_list = [result.stats_of(ref) for ref in launch_refs]
-    return np.stack(outputs), BatchStats(batch=batch, per_item=tuple(stats_list))
+    return np.stack(result.outputs), BatchStats(batch=batch, per_item=result.stats)

@@ -349,11 +349,12 @@ def closure(
         launch; the iterates are never validated.
     bands:
         Partition each launch's output rows into this many tile-aligned
-        bands — independent launch nodes in the launch's
+        bands — independent launches in the launch's
         :class:`~repro.sched.graph.LaunchGraph`, which a thread-pool
-        scheduler on the context runs concurrently.  Results are
-        bit-identical for any band count (bands write disjoint rows).
-        The default ``1`` keeps one whole-matrix launch per step.
+        scheduler on the context runs concurrently and this call gathers
+        in row order.  Results are bit-identical for any band count
+        (bands write disjoint rows).  The default ``1`` keeps one
+        whole-matrix launch per step.
     on_budget:
         What to do when the context's
         :class:`~repro.resilience.budget.ExecutionBudget` trips mid-run.
@@ -365,7 +366,10 @@ def closure(
         fixpoint, flagged via ``ClosureResult.diagnostics``
         (``healthy=False``, ``reason="budget_exhausted"``) and a
         ``brownout`` trace event — ``converged`` stays ``False`` so
-        callers cannot mistake the brownout for a fixpoint.
+        callers cannot mistake the brownout for a fixpoint.  The
+        scheduler checks the deadline only before a band launch starts,
+        so a deadline that trips after a launch's last band started
+        still completes that iterate, and the brownout keeps it.
 
     Returns
     -------
@@ -428,7 +432,7 @@ def closure(
     # Each launch is a LaunchGraph of band launches; the ArtifactPool
     # outlives it, so a cold cache shows one compile miss per launch
     # shape, then hits.  Lazy: repro.sched runs our loops.
-    from repro.sched.builders import ArtifactPool, closure_step_graph
+    from repro.sched.builders import ArtifactPool, closure_step_graph, gather_rows
     from repro.sched.executor import resolve_scheduler
 
     opcode = resolve_opcode(ring)
@@ -438,11 +442,13 @@ def closure(
     def launch(
         a: np.ndarray, b: np.ndarray, c: np.ndarray
     ) -> tuple[np.ndarray, list[KernelStats]]:
-        graph, out_ref, launch_refs = closure_step_graph(
+        graph, windows = closure_step_graph(
             ctx, pool, opcode, a, b, c, bands=bands
         )
         result = scheduler.run(graph, context=ctx)
-        return result[out_ref], [result.stats_of(ref) for ref in launch_refs]
+        shape = (a.shape[0], b.shape[1])
+        d = gather_rows(shape, ring.output_dtype, windows, result.outputs)
+        return d, list(result.stats)
 
     return _iterate(
         ring, adjacency, launch,

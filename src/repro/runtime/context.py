@@ -95,13 +95,15 @@ class ExecutionContext:
     scheduler:
         :class:`~repro.sched.executor.Scheduler` that runs the launch
         graphs the loop-shaped entry points build (closure iterations,
-        batch items, split-k partials, multi-device bands).  ``None``
-        (the default) means the serial executor — node-at-a-time in
-        build order, bit-identical to the pre-graph dispatch; pass
-        :class:`~repro.sched.executor.ThreadPoolExecutor` to run
-        independent nodes concurrently (results stay bit-identical:
-        fold orders are pinned in the graph and fault ordinals are
-        assigned at build time).
+        batch items, split-k partials, multi-device bands): tuples of
+        independent launches whose outputs the entry point folds or
+        gathers in launch order.  ``None`` (the default) means the
+        serial executor — one launch at a time in launch order,
+        bit-identical to the pre-graph dispatch; pass
+        :class:`~repro.sched.executor.ThreadPoolExecutor` to run the
+        launches concurrently (results stay bit-identical: outputs are
+        combined in launch order and fault ordinals are assigned at
+        build time).
     clock:
         Injectable :class:`~repro.resilience.clock.Clock` behind every
         time read and sleep under this context (launch wall times,
@@ -112,18 +114,18 @@ class ExecutionContext:
     budget:
         Optional :class:`~repro.resilience.budget.ExecutionBudget`.
         When set, every launch is charged at the ``begin_launch`` hook
-        seam and both schedulers check the deadline between node
-        dispatches; exhaustion raises the typed
+        seam and both schedulers check the deadline before each launch
+        starts; exhaustion raises the typed
         :class:`~repro.resilience.budget.DeadlineExceeded` /
         :class:`~repro.resilience.budget.BudgetExhausted` carrying
         partial-progress diagnostics.  ``None`` costs nothing.
     cancel:
         Optional :class:`~repro.resilience.cancel.CancellationToken`.
-        When set, both schedulers check it between node submissions:
-        in-flight nodes drain, pending nodes never start, and the run
-        raises :class:`~repro.resilience.cancel.OperationCancelled`
-        reporting exactly which node indices completed.  ``None`` costs
-        nothing.
+        When set, both schedulers check it before each launch starts:
+        in-flight launches drain, pending launches never start, and the
+        run raises :class:`~repro.resilience.cancel.OperationCancelled`
+        reporting exactly which launch indices completed.  ``None``
+        costs nothing.
     breakers:
         Optional :class:`~repro.resilience.breaker.BreakerBoard` of
         per-backend circuit breakers.  When set, the launch-node

@@ -32,7 +32,7 @@ anything is planned or compiled.  Every cross-cutting per-launch concern
 — budgets, fault injection, trace recording (including whether the plan
 cache hit and what the optimiser removed) — runs through the context's
 :class:`~repro.hooks.pipeline.HookPipeline`: the compile step is
-bracketed by ``pre_compile``/``post_compile`` hooks and the backend call
+followed by the ``post_compile`` hook and the backend call bracketed
 by ``pre_execute``/``post_execute`` hooks, in one launch body that
 :func:`mmo_tiled` and :func:`execute_compiled` share.  Loop-shaped entry
 points (:func:`~repro.runtime.closure.closure`, batched, split-k,
@@ -168,17 +168,15 @@ def compile_in_context(
     """Compile (or replay from the plan cache) through the hook pipeline.
 
     The single compile seam: :func:`~repro.compile.lower.compile_mmo`
-    bracketed by the pipeline's ``pre_compile``/``post_compile`` hooks.
-    Loop entry points that compile once up front use this too, so compile
-    observers (cache metering, the future autotuner) see every lowering
-    regardless of which entry point requested it.
+    followed by the pipeline's ``post_compile`` hooks.  Loop entry points
+    that compile once up front use this too, so compile observers (the
+    trace's compile records) see every lowering regardless of which entry
+    point requested it.
     """
-    pipeline = ctx.pipeline
-    pipeline.pre_compile(ctx, api, opcode, m, n, k, has_accumulator)
     compiled, cache_hit = compile_mmo(
         opcode, m, n, k, has_accumulator=has_accumulator, context=ctx
     )
-    pipeline.post_compile(ctx, api, compiled, cache_hit)
+    ctx.pipeline.post_compile(ctx, api, compiled, cache_hit)
     return compiled, cache_hit
 
 
@@ -555,10 +553,15 @@ def mmo_tiled_split_k(
     a single ``k = 0`` launch.  Equal-width partitions share one
     compiled artifact through the context's plan cache.
 
-    The partial launches and the pinned ⊕ fold are built as a
+    The partial launches are built as a
     :class:`~repro.sched.graph.LaunchGraph` and run by the context's
-    scheduler — the partials are independent nodes, so a thread-pool
-    scheduler runs them concurrently with bit-identical results.
+    scheduler — they are independent, so a thread-pool scheduler runs
+    them concurrently.  This call then ⊕-folds the partials in launch
+    order with ``C`` last (:func:`~repro.sched.builders.fold_outputs`),
+    so the result is bit-identical on every scheduler.  The scheduler
+    checks a cancellation token or deadline before each partial launch;
+    a stop that trips after the last one started does not prevent the
+    fold, and the call returns its result.
 
     Returns the combined result and per-split kernel statistics.
     """
@@ -575,11 +578,10 @@ def mmo_tiled_split_k(
     ctx = resolve_context(context, backend=backend, device=device)
 
     # Lazy: repro.sched orchestrates this module's kernels.
-    from repro.sched.builders import split_k_graph
+    from repro.sched.builders import fold_outputs, split_k_graph
     from repro.sched.executor import resolve_scheduler
 
-    graph, out_ref, launch_refs = split_k_graph(
-        ctx, opcode, a, b, c, splits=splits
-    )
+    graph = split_k_graph(ctx, opcode, a, b, splits=splits)
     result = resolve_scheduler(ctx).run(graph, context=ctx)
-    return result[out_ref], [result.stats_of(ref) for ref in launch_refs]
+    partials = result.outputs if c is None else (*result.outputs, c)
+    return fold_outputs(semiring, partials), list(result.stats)

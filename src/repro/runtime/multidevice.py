@@ -96,7 +96,11 @@ def mmo_tiled_multi_device(
 
     This is a device-centric API, so the default backend is ``"emulate"``
     unless an explicit ``backend`` or ``context`` overrides it; each band
-    runs under the resolved context with its own device swapped in.
+    runs under the resolved context with its own device swapped in.  The
+    bands are the launches of one :class:`~repro.sched.graph.LaunchGraph`
+    run by the context's scheduler, and this call gathers their outputs
+    into fixed row windows after it returns — so a cancellation or
+    deadline that trips after the last band started stops nothing.
 
     Parameters (resilience, all opt-in)
     -----------------------------------
@@ -149,7 +153,7 @@ def mmo_tiled_multi_device(
     repartition = on_device_failure == "repartition"
     # Lazy: repro.resilience sits above; repro.sched orchestrates this loop.
     from repro.resilience.faults import DeviceFailure
-    from repro.sched.builders import multidevice_graph
+    from repro.sched.builders import gather_rows, multidevice_graph
     from repro.sched.executor import resolve_scheduler
 
     while True:
@@ -163,14 +167,14 @@ def mmo_tiled_multi_device(
                 f"no surviving devices: all {len(devices)} blacklisted "
                 f"({sorted(blacklist)})"
             )
-        # One launch node per device band, carrying the device and the
-        # resilience policy, plus a pinned-window gather; a thread-pool
-        # scheduler runs the bands concurrently, bit-identically.  A
-        # device the fault plan hard-fails raises at *build* time, in
-        # band order, so earlier bands keep their ordinals across the
-        # repartition rebuild.
+        # One launch per device band, carrying the device and the
+        # resilience policy; a thread-pool scheduler runs the bands
+        # concurrently, and the gather below writes them into fixed row
+        # windows, bit-identically.  A device the fault plan hard-fails
+        # raises at *build* time, in band order, so earlier bands keep
+        # their ordinals across the repartition rebuild.
         try:
-            graph, out_ref, bands = multidevice_graph(
+            graph, bands = multidevice_graph(
                 roster, semiring, a, b, c, ctx,
                 checked=checked, retry=retry, wrap_hw_errors=repartition,
                 rtol=rtol, atol=atol,
@@ -193,7 +197,11 @@ def mmo_tiled_multi_device(
             )
             continue
         shares = [
-            DeviceShare(index, row_start, row_stop, result.stats_of(ref))
-            for index, row_start, row_stop, ref in bands
+            DeviceShare(index, row_start, row_stop, stats)
+            for (index, row_start, row_stop), stats in zip(bands, result.stats)
         ]
-        return result[out_ref], shares
+        windows = [(row_start, row_stop) for _, row_start, row_stop in bands]
+        out = gather_rows(
+            (m, n), semiring.output_dtype, windows, result.outputs
+        )
+        return out, shares

@@ -1,20 +1,20 @@
 """Graph builders: lower the loop-shaped entry points onto LaunchGraphs.
 
 Each builder takes the validated operands of one runtime entry point and
-produces a :class:`~repro.sched.graph.LaunchGraph` plus the references
-the entry point reads back (combined output, per-launch statistics).
-The lowering preserves the observable behaviour of the hand-rolled loops
-exactly:
+produces a :class:`~repro.sched.graph.LaunchGraph` of independent
+launches; the entry point runs it and combines the outputs itself, in
+launch order, with :func:`fold_outputs` (split-k) or
+:func:`gather_rows` (row bands).  The lowering preserves the observable
+behaviour of the hand-rolled loops exactly:
 
 - **cache-hit signatures**: one :class:`ArtifactPool` per entry-point
   call compiles each distinct launch shape once through
   :func:`~repro.runtime.kernels.compile_in_context` and stamps the
-  compile call's hit flag on the *first* node of that shape, ``True`` on
-  every later one — the one-miss-then-hits trace signature of the
+  compile call's hit flag on the *first* launch of that shape, ``True``
+  on every later one — the one-miss-then-hits trace signature of the
   compile/execute split;
-- **fault ordinals** are reserved in node append order by the
-  :class:`~repro.sched.graph.GraphBuilder` (see satellite: build-time
-  ordinal assignment);
+- **fault ordinals** are reserved in launch order by the
+  :class:`~repro.sched.graph.GraphBuilder`, at build time;
 - **banding** comes from the one shared
   :func:`~repro.backends.tiling.partition_bands` helper (split-k
   partitions the inner dimension, multi-device and banded closure
@@ -23,7 +23,7 @@ exactly:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from repro.compile.lower import resolve_opcode
 from repro.core.tiles import TILE
 from repro.isa.opcodes import MmoOpcode
 from repro.runtime.kernels import compile_in_context
-from repro.sched.graph import GraphBuilder, LaunchGraph, Ref
+from repro.sched.graph import GraphBuilder, LaunchGraph
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compile.artifact import CompiledMmo
@@ -43,17 +43,19 @@ __all__ = [
     "ArtifactPool",
     "batched_graph",
     "closure_step_graph",
+    "fold_outputs",
+    "gather_rows",
     "multidevice_graph",
     "split_k_graph",
 ]
 
 
 class ArtifactPool:
-    """Compile-once memo shared by every launch node of one entry point.
+    """Compile-once memo shared by every launch of one entry point.
 
     Wraps the compile seam: the first request for a launch shape lowers
     it through :func:`~repro.runtime.kernels.compile_in_context` (firing
-    the pre/post-compile hooks once, touching the plan cache once) and
+    the post-compile hooks once, touching the plan cache once) and
     reports that compile's cache-hit flag; repeat requests return the
     memoised artifact with ``hit=True`` — the replay signature.  Pools
     outlive a single graph on purpose: a closure loop keeps one pool
@@ -62,9 +64,9 @@ class ArtifactPool:
     pre-graph loop.
 
     The artifact is backend-agnostic, so every context gets one,
-    ``backend="auto"`` included (its nodes re-plan per replay).  Only
+    ``backend="auto"`` included (its launches re-plan per replay).  Only
     empty outputs yield ``(None, None)``: nothing is lowered for them,
-    and their nodes dispatch through
+    and their launches dispatch through
     :func:`~repro.runtime.kernels.mmo_tiled`.
     """
 
@@ -82,7 +84,7 @@ class ArtifactPool:
         *,
         has_accumulator: bool,
     ) -> "tuple[CompiledMmo | None, bool | None]":
-        """The artifact for one launch shape plus its node's cache-hit flag."""
+        """The artifact for one launch shape plus its launch's cache-hit flag."""
         if m <= 0 or n <= 0:
             return None, None
         key = (opcode.name, m, n, k, has_accumulator)
@@ -97,67 +99,75 @@ class ArtifactPool:
         return compiled, hit
 
 
+def fold_outputs(
+    semiring: "Semiring", outputs: Sequence[np.ndarray]
+) -> np.ndarray:
+    """⊕-fold ``outputs`` strictly left to right: the split-k combine.
+
+    The first output is taken as is and every fold is cast to the ring's
+    output dtype, so serial and threaded runs combine byte-identically
+    whatever order the launches finished in.  Split-k passes its
+    partials in launch order with the (pre-cast) accumulator last.
+    """
+    combined = outputs[0]
+    for output in outputs[1:]:
+        combined = np.asarray(
+            semiring.oplus(combined, output), dtype=semiring.output_dtype
+        )
+    return combined
+
+
+def gather_rows(
+    shape: tuple[int, int],
+    dtype: np.dtype,
+    windows: Sequence[tuple[int, int]],
+    outputs: Sequence[np.ndarray],
+) -> np.ndarray:
+    """Write each band's output into its ``[start, stop)`` row window.
+
+    One output whose window covers every row is returned as is, with no
+    copy (a one-band closure launch, a single-device banding).
+    """
+    if len(outputs) == 1 and windows[0] == (0, shape[0]):
+        return outputs[0]
+    out = np.empty(shape, dtype=dtype)
+    for (row_start, row_stop), output in zip(windows, outputs):
+        out[row_start:row_stop] = output
+    return out
+
+
 def split_k_graph(
     context: "ExecutionContext",
     opcode: MmoOpcode,
     a: np.ndarray,
     b: np.ndarray,
-    c: np.ndarray | None,
     *,
     splits: int,
-) -> tuple[LaunchGraph, Ref, list[Ref]]:
-    """Lower one split-k mmo: partial launches plus a pinned ⊕ fold.
+) -> LaunchGraph:
+    """Lower one split-k mmo: one launch per non-empty k partition.
 
     The inner dimension is partitioned by
-    :func:`~repro.backends.tiling.partition_bands`; empty partitions are
-    skipped, and when every partition is empty (``k == 0``) the call
-    degenerates to a single full launch, as before.  The reduce node
-    folds the partials left to right and the (pre-cast) accumulator
-    last — the exact inline combine order this replaced.
-
-    Returns ``(graph, output ref, per-partial launch refs)``.
+    :func:`~repro.backends.tiling.partition_bands`; each launch takes
+    views of its partition's columns of ``A`` and rows of ``B``.  Empty
+    partitions are skipped, and when every partition is empty
+    (``k == 0``) the call is a single ``k = 0`` launch.  The caller folds
+    the partials with :func:`fold_outputs`.
     """
     from repro.backends.tiling import partition_bands  # lazy: layered above
 
-    semiring = opcode.semiring
     m, k = a.shape
     n = b.shape[1]
     builder = GraphBuilder(context, "mmo_tiled_split_k")
     pool = ArtifactPool(context, "mmo_tiled_split_k")
-    a_ref = builder.constant(a)
-    b_ref = builder.constant(b)
-    launch_refs: list[Ref] = []
-    for lo, hi in partition_bands(k, splits):
-        if hi <= lo:
-            continue
+    windows = [(lo, hi) for lo, hi in partition_bands(k, splits) if hi > lo]
+    for lo, hi in windows or [(0, k)]:
         compiled, hit = pool.artifact(
             opcode, m, n, hi - lo, has_accumulator=False
         )
-        launch_refs.append(
-            builder.launch(
-                opcode,
-                a_ref.window(cols=(lo, hi)),
-                b_ref.window(rows=(lo, hi)),
-                None,
-                compiled=compiled,
-                cache_hit=hit,
-            )
+        builder.launch(
+            opcode, a[:, lo:hi], b[lo:hi], compiled=compiled, cache_hit=hit
         )
-    if not launch_refs:
-        # Every partition was empty (k == 0): one degenerate-k launch.
-        compiled, hit = pool.artifact(opcode, m, n, k, has_accumulator=False)
-        launch_refs.append(
-            builder.launch(
-                opcode, a_ref, b_ref, None, compiled=compiled, cache_hit=hit
-            )
-        )
-    inputs = list(launch_refs)
-    if c is not None:
-        inputs.append(builder.constant(c))
-    out_ref = launch_refs[0]
-    if len(inputs) > 1:
-        out_ref = builder.reduce(semiring, tuple(inputs))
-    return builder.build(), out_ref, launch_refs
+    return builder.build()
 
 
 def batched_graph(
@@ -167,16 +177,14 @@ def batched_graph(
     b3: np.ndarray,
     c3: np.ndarray | None,
     batch: int,
-) -> tuple[LaunchGraph, list[Ref]]:
-    """Lower one batched mmo: ``batch`` independent launch nodes.
+) -> LaunchGraph:
+    """Lower one batched mmo: ``batch`` independent launches.
 
-    Broadcast operands (stack depth 1) land in one constant slot feeding
-    every node.  Stacks are uniform, so one compiled artifact serves the
-    whole batch; inconsistent shapes fall back to per-node single-shot
-    dispatch, which raises identically to the unbatched call.
-
-    Returns ``(graph, per-item launch refs)`` — items are independent,
-    so there is no combine node; the caller stacks the outputs.
+    A broadcast operand (stack depth 1) feeds every launch.  Stacks are
+    uniform, so one compiled artifact serves the whole batch;
+    inconsistent shapes fall back to per-launch single-shot dispatch,
+    which raises identically to the unbatched call.  The caller stacks
+    the outputs.
     """
     builder = GraphBuilder(context, "batched_mmo")
     pool = ArtifactPool(context, "batched_mmo")
@@ -189,24 +197,21 @@ def batched_graph(
     def pick(stack: np.ndarray, index: int) -> np.ndarray:
         return stack[0] if stack.shape[0] == 1 else stack[index]
 
-    launch_refs: list[Ref] = []
     for index in range(batch):
         compiled, hit = (
             pool.artifact(opcode, m, n, k, has_accumulator=c3 is not None)
             if shapes_ok
             else (None, None)
         )
-        launch_refs.append(
-            builder.launch(
-                opcode,
-                builder.constant(pick(a3, index)),
-                builder.constant(pick(b3, index)),
-                None if c3 is None else builder.constant(pick(c3, index)),
-                compiled=compiled,
-                cache_hit=hit,
-            )
+        builder.launch(
+            opcode,
+            pick(a3, index),
+            pick(b3, index),
+            None if c3 is None else pick(c3, index),
+            compiled=compiled,
+            cache_hit=hit,
         )
-    return builder.build(), launch_refs
+    return builder.build()
 
 
 def closure_step_graph(
@@ -218,7 +223,7 @@ def closure_step_graph(
     c: np.ndarray,
     *,
     bands: int = 1,
-) -> tuple[LaunchGraph, Ref, list[Ref]]:
+) -> tuple[LaunchGraph, list[tuple[int, int]]]:
     """Lower one closure launch ``C ⊕ (A ⊗ B)`` (optionally banded).
 
     :func:`~repro.runtime.closure.closure` runs every launch of every
@@ -227,47 +232,34 @@ def closure_step_graph(
     their blocks.  With ``bands == 1`` it is one whole launch.  With
     more bands, the rows of ``A`` and ``C`` are partitioned on tile
     boundaries into independent launches (each band computes
-    ``C[r] ⊕ (A[r] ⊗ B)``) and gathered — bit-identical because every
-    band's rows are disjoint.  The convergence check is the closure
-    loop's, not a graph node.
+    ``C[r] ⊕ (A[r] ⊗ B)``) — bit-identical because every band's rows are
+    disjoint.  The caller gathers the outputs with :func:`gather_rows`;
+    the convergence check is the closure loop's.
 
     The caller owns the :class:`ArtifactPool` so compile state persists
-    across launches.  Returns ``(graph, output ref, per-band launch
-    refs)``.
+    across launches.  Returns ``(graph, per-launch row windows)``.
     """
     from repro.backends.tiling import partition_bands  # lazy: layered above
 
-    semiring = opcode.semiring
     m, k = a.shape
     n = b.shape[1]
     builder = GraphBuilder(context, "closure")
-    a_ref, b_ref, c_ref = builder.constant(a), builder.constant(b), builder.constant(c)
     windows = [w for w in partition_bands(m, bands, tile=TILE) if w[1] > w[0]]
     if not windows:
         windows = [(0, m)]
-    launch_refs: list[Ref] = []
-    pieces: list[tuple[int, int, Ref]] = []
     for row_start, row_stop in windows:
-        rows = row_stop - row_start
-        compiled, hit = pool.artifact(opcode, rows, n, k, has_accumulator=True)
-        whole = rows == m
-        ref = builder.launch(
+        compiled, hit = pool.artifact(
+            opcode, row_stop - row_start, n, k, has_accumulator=True
+        )
+        builder.launch(
             opcode,
-            a_ref if whole else a_ref.window(rows=(row_start, row_stop)),
-            b_ref,
-            c_ref if whole else c_ref.window(rows=(row_start, row_stop)),
+            a[row_start:row_stop],
+            b,
+            c[row_start:row_stop],
             compiled=compiled,
             cache_hit=hit,
         )
-        launch_refs.append(ref)
-        pieces.append((row_start, row_stop, ref))
-    if len(pieces) == 1 and pieces[0][:2] == (0, m):
-        out_ref = pieces[0][2]
-    else:
-        out_ref = builder.gather(
-            (m, n), semiring.output_dtype, tuple(pieces)
-        )
-    return builder.build(), out_ref, launch_refs
+    return builder.build(), windows
 
 
 def multidevice_graph(
@@ -278,11 +270,11 @@ def multidevice_graph(
     c: np.ndarray | None,
     context: "ExecutionContext",
     **policy: Any,
-) -> tuple[LaunchGraph, Ref, list[tuple[int, int, int, Ref]]]:
-    """Lower one multi-device banding: per-device launches plus a gather.
+) -> tuple[LaunchGraph, list[tuple[int, int, int]]]:
+    """Lower one multi-device banding: one launch per non-empty device band.
 
     Output rows are partitioned tile-aligned across the roster; each
-    band's node carries its device, the resilience ``policy`` keywords
+    band's launch carries its device, the resilience ``policy`` keywords
     of :meth:`~repro.sched.graph.GraphBuilder.launch` (ABFT checking,
     retries, hardware-error wrapping) and a ``band [start:stop)`` label
     for retry events.  The context's fault plan is consulted *at build
@@ -291,8 +283,9 @@ def multidevice_graph(
     ordinal is reserved — bands built earlier keep their ordinals, so a
     repartition rebuild numbers exactly like the pre-graph retry loop.
 
-    Returns ``(graph, gathered output ref, band metadata)`` where each
-    band entry is ``(device_index, row_start, row_stop, launch ref)``.
+    Returns ``(graph, bands)`` with one ``(device_index, row_start,
+    row_stop)`` per launch; the caller gathers the outputs with
+    :func:`gather_rows`.
     """
     from repro.backends.tiling import partition_bands  # lazy: layered above
 
@@ -301,11 +294,8 @@ def multidevice_graph(
     n = b.shape[1]
     builder = GraphBuilder(context, "mmo_tiled_multi_device")
     pool = ArtifactPool(context, "mmo_tiled_multi_device")
-    a_ref = builder.constant(a)
-    b_ref = builder.constant(b)
-    c_ref = None if c is None else builder.constant(c)
     windows = partition_bands(m, len(roster), tile=TILE)
-    bands: list[tuple[int, int, int, Ref]] = []
+    bands: list[tuple[int, int, int]] = []
     for position, (index, device) in enumerate(roster):
         row_start, row_stop = windows[position]
         if row_stop <= row_start:
@@ -321,11 +311,11 @@ def multidevice_graph(
         compiled, hit = pool.artifact(
             opcode, row_stop - row_start, n, k, has_accumulator=c is not None
         )
-        ref = builder.launch(
+        builder.launch(
             opcode,
-            a_ref.window(rows=(row_start, row_stop)),
-            b_ref,
-            None if c_ref is None else c_ref.window(rows=(row_start, row_stop)),
+            a[row_start:row_stop],
+            b,
+            None if c is None else c[row_start:row_stop],
             compiled=compiled,
             cache_hit=hit,
             device=device,
@@ -333,10 +323,5 @@ def multidevice_graph(
             label=f"band [{row_start}:{row_stop})",
             **policy,
         )
-        bands.append((index, row_start, row_stop, ref))
-    out_ref = builder.gather(
-        (m, n),
-        semiring.output_dtype,
-        tuple((start, stop, ref) for _, start, stop, ref in bands),
-    )
-    return builder.build(), out_ref, bands
+        bands.append((index, row_start, row_stop))
+    return builder.build(), bands

@@ -3,19 +3,19 @@
 The :class:`Scheduler` protocol has one method — ``run(graph, context=)``
 — and two implementations:
 
-- :class:`SerialExecutor` walks nodes in build order on the calling
-  thread: bit-identical to the hand-rolled loops the entry points had
-  before graphs existed, and the default
+- :class:`SerialExecutor` runs the launches in launch order on the
+  calling thread: bit-identical to the hand-rolled loops the entry
+  points had before graphs existed, and the default
   (:func:`resolve_scheduler` returns a shared instance when the context
   carries no scheduler).
-- :class:`ThreadPoolExecutor` dispatches nodes whose dependencies are
-  satisfied onto a worker pool.  Results stay bit-identical to serial on
-  every ring because the graph pins all the order that matters: fold
-  order lives in :class:`~repro.sched.graph.ReduceStep` /
-  :class:`~repro.sched.graph.GatherStep` nodes, and fault ordinals were
-  reserved at build time.  Failures are deterministic too — when nodes
-  error concurrently, the error of the *smallest node index* propagates,
-  which is the one a serial run would have hit first.
+- :class:`ThreadPoolExecutor` runs the launches on a worker pool.  No
+  launch reads another's output, and results stay bit-identical to
+  serial on every ring because nothing that matters depends on the
+  schedule: outputs come back in launch order, the entry point combines
+  them in that order, and fault ordinals were reserved at build time.
+  Failures are deterministic too — when launches fail concurrently, the
+  error of the *smallest launch index* propagates, which is the one a
+  serial run would have hit first.
 
 Thread-safety is capability-driven: a backend declaring
 ``thread_safe=False`` (the emulate backend stages operands through a
@@ -23,20 +23,23 @@ shared default device) has its deviceless launches serialised under one
 lock, while launches carrying their own device (multi-device bands) run
 concurrently under per-device locks.
 
-Both executors honour the context's SLO controls between node
-dispatches: a :class:`~repro.resilience.cancel.CancellationToken` or an
+Both executors honour the context's SLO controls before each launch
+starts: a :class:`~repro.resilience.cancel.CancellationToken` or an
 :class:`~repro.resilience.budget.ExecutionBudget` deadline stops the run
-cooperatively — in-flight nodes drain, pending nodes never start, and
-the typed error (:class:`~repro.resilience.cancel.OperationCancelled` /
+cooperatively — in-flight launches drain, launches that have not started
+never start, and the typed error
+(:class:`~repro.resilience.cancel.OperationCancelled` /
 :class:`~repro.resilience.budget.DeadlineExceeded`) reports exactly
-which node indices completed.  Under the serial executor that set is a
-build-order prefix; under the thread pool it is dependency-closed.
-Contexts carrying neither pay a single boolean check per run.
+which launch indices completed.  Under the serial executor that set is a
+launch-order prefix.  A stop that trips after the last launch started
+stops nothing, so the run returns its result.  Contexts carrying neither
+pay a single boolean check per run.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 import threading
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, ContextManager, Protocol, runtime_checkable
@@ -46,15 +49,7 @@ import numpy as np
 from repro.hw.errors import HardwareError
 from repro.hooks.pipeline import emit_event
 from repro.runtime.kernels import KernelStats, execute_compiled, mmo_tiled
-from repro.sched.graph import (
-    GatherStep,
-    GraphError,
-    LaunchGraph,
-    LaunchStep,
-    ReduceStep,
-    Ref,
-    Step,
-)
+from repro.sched.graph import GraphError, LaunchGraph, LaunchStep
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.runtime.context import ExecutionContext
@@ -67,64 +62,29 @@ __all__ = [
     "resolve_scheduler",
 ]
 
-def _resolve(
-    graph: LaunchGraph, values: "list[np.ndarray | None]", ref: Ref
-) -> np.ndarray:
-    """Materialise a reference against computed node values."""
-    base: "np.ndarray | None"
-    if ref.const is not None:
-        base = graph.constants[ref.const]
-    else:
-        assert ref.node is not None
-        base = values[ref.node]
-    if base is None:
-        raise GraphError(f"reference to unevaluated node {ref.node}")
-    if ref.rows is not None:
-        base = base[ref.rows[0] : ref.rows[1]]
-    if ref.cols is not None:
-        base = base[:, ref.cols[0] : ref.cols[1]]
-    return base
 
-
+@dataclasses.dataclass(frozen=True, eq=False)
 class GraphResult:
-    """Computed node values and per-launch kernel statistics.
+    """Every launch's output and kernel statistics, in launch order.
 
-    Index with any :class:`~repro.sched.graph.Ref` the builder returned
-    (``result[ref]``); :meth:`stats_of` returns the
-    :class:`~repro.runtime.kernels.KernelStats` of a launch node.
+    Only a run in which every launch completed returns a result; a
+    stopped or failed run raises instead.  The entry point that built the
+    graph combines ``outputs`` itself
+    (:func:`~repro.sched.builders.fold_outputs`,
+    :func:`~repro.sched.builders.gather_rows`).
     """
 
-    def __init__(
-        self,
-        graph: LaunchGraph,
-        values: "list[np.ndarray | None]",
-        stats: "list[KernelStats | None]",
-    ):
-        self.graph = graph
-        self._values = values
-        self._stats = stats
-
-    def __getitem__(self, ref: Ref) -> np.ndarray:
-        return _resolve(self.graph, self._values, ref)
-
-    def stats_of(self, ref: Ref) -> KernelStats:
-        if ref.node is None:
-            raise GraphError("constants carry no kernel statistics")
-        stats = self._stats[ref.node]
-        if stats is None:
-            raise GraphError(f"node {ref.node} is not a launch node")
-        return stats
+    outputs: tuple[np.ndarray, ...]
+    stats: tuple[KernelStats, ...]
 
     @property
     def completed_nodes(self) -> tuple[int, ...]:
-        """Indices of evaluated nodes (every index on a completed run)."""
-        return tuple(
-            index for index, value in enumerate(self._values) if value is not None
-        )
+        """Indices of the completed launches: every index of the graph."""
+        return tuple(range(len(self.outputs)))
 
 
 def _interruptible(context: "ExecutionContext") -> bool:
-    """Whether the context carries any between-node stop condition."""
+    """Whether the context carries any between-launch stop condition."""
     return (
         getattr(context, "cancel", None) is not None
         or getattr(context, "budget", None) is not None
@@ -138,11 +98,11 @@ def _interrupt_error(
 ) -> BaseException | None:
     """The typed error the context's stop conditions currently demand.
 
-    Checked between node dispatches by both executors.  Cancellation
+    Checked before each launch starts, by both executors.  Cancellation
     wins over the deadline when both have tripped (racing cancellers
     converge on one stable reason, see
     :class:`~repro.resilience.cancel.CancellationToken`); both
-    conditions are sticky, so an interrupt observed mid-run is still
+    conditions are sticky, so a stop a worker observed is still
     observable after the in-flight drain re-derives the completed set.
     """
     cancel = getattr(context, "cancel", None)
@@ -176,12 +136,12 @@ class Scheduler(Protocol):
     def run(
         self, graph: LaunchGraph, *, context: "ExecutionContext"
     ) -> GraphResult:
-        """Evaluate every node and return the result table."""
+        """Run every launch and return the outputs in launch order."""
         ...  # pragma: no cover - protocol
 
 
 class _LockTable:
-    """Per-device and per-backend serialisation for one graph run."""
+    """Per-device and per-backend serialisation for one threaded run."""
 
     def __init__(self, serialize_backend: bool):
         self._guard = threading.Lock()
@@ -200,9 +160,6 @@ class _LockTable:
         return nullcontext()
 
 
-_NO_LOCKS = _LockTable(serialize_backend=False)
-
-
 def _needs_backend_lock(context: "ExecutionContext") -> bool:
     from repro.backends.base import capabilities_of, get_backend  # lazy: layered above
 
@@ -210,8 +167,7 @@ def _needs_backend_lock(context: "ExecutionContext") -> bool:
 
 
 def _attempt(
-    node: LaunchStep, a: np.ndarray, b: np.ndarray, c: np.ndarray | None,
-    ctx: "ExecutionContext", ordinal: int | None,
+    node: LaunchStep, ctx: "ExecutionContext", ordinal: int | None
 ) -> tuple[np.ndarray, KernelStats]:
     """One launch attempt: replay the artifact (or dispatch), wrap hw errors.
 
@@ -221,14 +177,14 @@ def _attempt(
     try:
         if node.compiled is not None:
             return execute_compiled(
-                node.compiled, a, b, c,
+                node.compiled, node.a, node.b, node.c,
                 context=ctx, api=node.api,
                 cache_hit=node.cache_hit,
                 validate_inputs=False,
                 fault_ordinal=ordinal,
             )
         return mmo_tiled(
-            node.opcode, a, b, c,
+            node.opcode, node.a, node.b, node.c,
             context=ctx, api=node.api,
             validate_inputs=False,
             fault_ordinal=ordinal,
@@ -243,27 +199,21 @@ def _attempt(
 
 
 def _run_launch(
-    graph: LaunchGraph,
-    node: LaunchStep,
-    values: "list[np.ndarray | None]",
-    context: "ExecutionContext",
+    node: LaunchStep, context: "ExecutionContext"
 ) -> tuple[np.ndarray, KernelStats]:
-    """One launch node: a single attempt, or the one recovery driver.
+    """One launch: a single attempt, or the one recovery driver.
 
-    A node with ``checked``/``retry``/``fallback`` policy walks its
+    A launch with ``checked``/``retry``/``fallback`` policy walks its
     backend chain (the context's backend alone without ``fallback``),
     skipping backends whose breaker refuses.  This is the only code that
     retries, verifies ABFT checksums and falls back: a transient failure
     feeds the breakers, a retryable one spends a budget retry and backs
     off on the context clock, a fallback-worthy one moves down the
-    chain; anything else — and a chainless node's last failure — raises.
+    chain; anything else — and a chainless launch's last failure — raises.
     """
-    a = _resolve(graph, values, node.a)
-    b = _resolve(graph, values, node.b)
-    c = None if node.c is None else _resolve(graph, values, node.c)
     context = context if node.device is None else context.replace(device=node.device)
     if not (node.checked or node.retry is not None or node.fallback is not None):
-        return _attempt(node, a, b, c, context, node.fault_ordinal)
+        return _attempt(node, context, node.fault_ordinal)
 
     # Lazy: repro.resilience sits above this package in the layering.
     from repro.resilience import (
@@ -280,13 +230,16 @@ def _run_launch(
     retry = node.retry if node.retry is not None else RetryPolicy()
     fallback = node.fallback
     sums = (
-        mmo_checksums(node.opcode.semiring, a, b, c, rtol=node.rtol, atol=node.atol)
+        mmo_checksums(
+            node.opcode.semiring, node.a, node.b, node.c,
+            rtol=node.rtol, atol=node.atol,
+        )
         if node.checked else None
     )
     board, budget, clock = context.breakers, context.budget, resolve_clock(context)
     first = context.backend
     chain = (first,) if fallback is None else fallback.plan(
-        first, ring=node.opcode, a=a, b=b, c=c
+        first, ring=node.opcode, a=node.a, b=node.b, c=node.c
     )
     # The build-time ordinal belongs to the first attempt; later attempts
     # claim fresh ones, deterministically escaping a transient fault.
@@ -307,7 +260,7 @@ def _run_launch(
             )
         for attempt in range(retry.max_attempts):
             try:
-                result, stats = _attempt(node, a, b, c, ctx, ordinal)
+                result, stats = _attempt(node, ctx, ordinal)
                 if sums is not None:
                     CheckedLaunch().verify(sums, result, context=ctx, api=node.api)
                     if board is not None:
@@ -343,40 +296,12 @@ def _run_launch(
     raise ResilienceExhausted(causes)
 
 
-def _run_node(
-    graph: LaunchGraph,
-    index: int,
-    values: "list[np.ndarray | None]",
-    context: "ExecutionContext",
-    locks: _LockTable,
-) -> "tuple[np.ndarray, KernelStats | None]":
-    node: Step = graph.nodes[index]
-    if isinstance(node, LaunchStep):
-        with locks.guard_for(node):
-            result, stats = _run_launch(graph, node, values, context)
-        return result, stats
-    if isinstance(node, ReduceStep):
-        combined = _resolve(graph, values, node.inputs[0])
-        for ref in node.inputs[1:]:
-            combined = np.asarray(
-                node.semiring.oplus(combined, _resolve(graph, values, ref)),
-                dtype=node.semiring.output_dtype,
-            )
-        return combined, None
-    if isinstance(node, GatherStep):
-        out = np.empty(node.shape, dtype=node.dtype)
-        for row_start, row_stop, ref in node.pieces:
-            out[row_start:row_stop] = _resolve(graph, values, ref)
-        return out, None
-    raise GraphError(f"unknown node type {type(node).__name__}")
-
-
 class SerialExecutor:
-    """Node-at-a-time in build order — the pre-graph dispatch, exactly.
+    """One launch at a time in launch order — the pre-graph dispatch, exactly.
 
     With a cancellation token or budget on the context, the token and
-    deadline are checked *before each node*: a trip raises the typed
-    error with the build-order prefix of completed indices.  A node
+    deadline are checked *before each launch*: a trip raises the typed
+    error with the launch-order prefix of completed indices.  A launch
     already running is never interrupted mid-kernel.
     """
 
@@ -384,29 +309,31 @@ class SerialExecutor:
         self, graph: LaunchGraph, *, context: "ExecutionContext"
     ) -> GraphResult:
         total = len(graph.nodes)
-        values: "list[np.ndarray | None]" = [None] * total
-        stats: "list[KernelStats | None]" = [None] * total
         interruptible = _interruptible(context)
-        for index in range(total):
+        outputs: list[np.ndarray] = []
+        launch_stats: list[KernelStats] = []
+        for index, node in enumerate(graph.nodes):
             if interruptible:
                 error = _interrupt_error(context, tuple(range(index)), total)
                 if error is not None:
                     raise error
-            values[index], stats[index] = _run_node(
-                graph, index, values, context, _NO_LOCKS
-            )
-        return GraphResult(graph, values, stats)
+            output, stats = _run_launch(node, context)
+            outputs.append(output)
+            launch_stats.append(stats)
+        return GraphResult(tuple(outputs), tuple(launch_stats))
 
 
 class ThreadPoolExecutor:
-    """Run independent nodes concurrently; everything ordered stays pinned.
+    """Run the launches concurrently; everything ordered stays pinned.
 
-    Ready nodes are submitted in index order; completed futures are
-    consumed in index order; a failure stops further submission, drains
-    the in-flight work, and re-raises the smallest-index error — so the
-    observable behaviour (result bytes, fault injections, which error
-    surfaces) matches :class:`SerialExecutor` on every graph the
-    builders produce.
+    Every launch is submitted in index order, and each worker checks the
+    context's stop conditions before it starts its launch, so once a
+    cancellation or deadline trips no pending launch starts.  A failed
+    launch stops nothing: once the pool has drained, the error of the
+    smallest failed index propagates — the one
+    :class:`SerialExecutor` would have hit first — so the observable
+    behaviour (result bytes, fault injections, which error surfaces)
+    matches the serial run on every graph the builders produce.
     """
 
     def __init__(self, max_workers: int = 4):
@@ -418,81 +345,36 @@ class ThreadPoolExecutor:
         self, graph: LaunchGraph, *, context: "ExecutionContext"
     ) -> GraphResult:
         total = len(graph.nodes)
-        values: "list[np.ndarray | None]" = [None] * total
-        stats: "list[KernelStats | None]" = [None] * total
-        dependents: list[list[int]] = [[] for _ in range(total)]
-        remaining = [0] * total
-        for index in range(total):
-            deps = graph.dependencies(index)
-            remaining[index] = len(deps)
-            for dep in deps:
-                dependents[dep].append(index)
         locks = _LockTable(serialize_backend=_needs_backend_lock(context))
-        errors: list[tuple[int, BaseException]] = []
-        pending: "dict[concurrent.futures.Future[tuple[np.ndarray, KernelStats | None]], int]" = {}
         interruptible = _interruptible(context)
-        interrupted = False
+
+        def work(node: LaunchStep) -> "tuple[np.ndarray, KernelStats] | None":
+            if interruptible and _interrupt_error(context, None, total) is not None:
+                return None  # stopped before this launch started
+            with locks.guard_for(node):
+                launched = _run_launch(node, context)
+            return launched
 
         with concurrent.futures.ThreadPoolExecutor(
             max_workers=self.max_workers
         ) as pool:
-
-            def submit(index: int) -> None:
-                future = pool.submit(
-                    _run_node, graph, index, values, context, locks
-                )
-                pending[future] = index
-
-            def halted() -> bool:
-                """Stop submitting?  Errors and interrupts both drain."""
-                nonlocal interrupted
-                if errors or interrupted:
-                    return True
-                if (
-                    interruptible
-                    and _interrupt_error(context, None, total) is not None
-                ):
-                    interrupted = True
-                return interrupted
-
-            for index in range(total):
-                if remaining[index] == 0:
-                    if halted():
-                        break
-                    submit(index)
-            while pending:
-                done, _ = concurrent.futures.wait(
-                    pending, return_when=concurrent.futures.FIRST_COMPLETED
-                )
-                for future in sorted(done, key=lambda f: pending[f]):
-                    index = pending.pop(future)
-                    exc = future.exception()
-                    if exc is not None:
-                        errors.append((index, exc))
-                        continue
-                    values[index], stats[index] = future.result()
-                    if halted():
-                        continue  # drain only; stop expanding the frontier
-                    for dependent in dependents[index]:
-                        remaining[dependent] -= 1
-                        if remaining[dependent] == 0:
-                            submit(dependent)
-        if errors:
-            errors.sort(key=lambda pair: pair[0])
-            raise errors[0][1]
-        if interrupted and any(value is None for value in values):
-            # Re-derive the completed set after the drain: the stop
-            # conditions are sticky, so the error is still demanded.  A
-            # run whose nodes all finished anyway returns normally —
-            # matching the serial executor, which only checks before
-            # *pending* nodes.
-            completed = tuple(
-                index for index, value in enumerate(values) if value is not None
-            )
-            error = _interrupt_error(context, completed, total)
-            if error is not None:
-                raise error
-        return GraphResult(graph, values, stats)
+            futures = [pool.submit(work, node) for node in graph.nodes]
+        outputs: list[np.ndarray] = []
+        launch_stats: list[KernelStats] = []
+        completed: list[int] = []
+        for index, future in enumerate(futures):
+            done = future.result()  # re-raises a failure: smallest index first
+            if done is not None:
+                completed.append(index)
+                outputs.append(done[0])
+                launch_stats.append(done[1])
+        if len(completed) < total:
+            # The stop conditions are sticky, so the error a worker saw is
+            # still demanded; re-derive it with the completed set.
+            error = _interrupt_error(context, tuple(completed), total)
+            assert error is not None
+            raise error
+        return GraphResult(tuple(outputs), tuple(launch_stats))
 
 
 _SERIAL = SerialExecutor()

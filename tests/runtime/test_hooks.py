@@ -15,7 +15,7 @@ import pytest
 from repro.compile import PlanCache, grid_for, lower_mmo
 from repro.compile.lower import resolve_opcode
 from repro.core import SEMIRINGS
-from repro.hooks import CacheStatsHook, Hook, emit_event
+from repro.hooks import Hook, emit_event
 from repro.hw import Simd2Device
 from repro.runtime import (
     ExecutionContext,
@@ -122,9 +122,6 @@ class RecordingHook(Hook):
         self.tag = tag
         self.log = log
 
-    def pre_compile(self, context, api, opcode, m, n, k, has_accumulator):
-        self.log.append((self.tag, "pre_compile"))
-
     def post_compile(self, context, api, compiled, cache_hit):
         self.log.append((self.tag, "post_compile"))
 
@@ -160,12 +157,11 @@ class TestHookOrder:
         )
         a, b, c = make_ring_inputs(SEMIRINGS["min-plus"], 32, 16, 32, rng)
         mmo_tiled("min-plus", a, b, c, context=ctx)
-        for point in ("pre_compile", "post_compile", "pre_execute", "post_execute"):
+        for point in ("post_compile", "pre_execute", "post_execute"):
             fired = [tag for tag, p in log if p == point]
             assert fired == ["one", "two"], point
         # Points themselves fire in lifecycle order.
         points = [p for _, p in log]
-        assert points.index("post_compile") > points.index("pre_compile")
         assert points.index("pre_execute") > points.index("post_compile")
         assert points.index("post_execute") > points.index("pre_execute")
 
@@ -246,17 +242,14 @@ class TestHookTeardown:
 
 class TestCacheStatsHook:
     def test_context_meters_plan_cache_hits(self, rng):
-        ctx = ExecutionContext(
-            plan_cache=PlanCache(), hooks=(CacheStatsHook(),)
-        )
+        # A Trace on the context meters that context's compile traffic.
+        trace = Trace()
+        ctx = ExecutionContext(plan_cache=PlanCache(), trace=trace)
         a, b, c = make_ring_inputs(SEMIRINGS["min-plus"], 32, 16, 32, rng)
         mmo_tiled("min-plus", a, b, c, context=ctx)
         mmo_tiled("min-plus", a, b, c, context=ctx)
-        (stats_hook,) = [
-            h for h in ctx.pipeline.hooks if isinstance(h, CacheStatsHook)
-        ]
-        assert stats_hook.misses == 1 and stats_hook.hits == 1
-        assert stats_hook.hit_rate == 0.5
+        assert [record.cache_hit for record in trace.compiles] == [False, True]
+        assert trace.summary().compile_requests == 2
 
 
 class TestHotPath:

@@ -1,11 +1,12 @@
 """Cancellation races and scheduler-seam deadlines.
 
-Both executors check the context's token and budget *between* node
-submissions: pending nodes never start, in-flight nodes drain, and the
-typed error reports exactly which node indices ran.  These tests pin the
-race behaviour — a cancellation landing at any point must never deadlock
-the thread pool, and the completed sets must stay prefix-consistent
-(serial) / dependency-consistent (threaded).
+Both executors check the context's token and budget before each launch
+starts: pending launches never start, in-flight launches drain, and the
+typed error reports exactly which launch indices ran.  These tests pin
+the race behaviour — a cancellation landing at any point must never
+deadlock the thread pool, the serial completed set is a launch-order
+prefix, and a stop that trips after the last launch started lets the
+entry point return its combined result.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from repro.resilience import (
 )
 from repro.runtime import use_context
 from repro.runtime.batched import batched_mmo
+from repro.runtime.kernels import mmo_tiled_split_k
 from repro.sched import (
     SerialExecutor,
     ThreadPoolExecutor,
@@ -126,6 +128,27 @@ class TestSerialCancellation:
         assert err.total_nodes == 6
         assert "2/6 node(s)" in str(err)
 
+    def test_cancel_after_the_last_launch_still_folds(self, rng):
+        # The split-k fold is the entry point's, not a scheduler node: a
+        # cancel that lands during the last partial launch stops nothing,
+        # so the call returns the folded result.
+        a, b, c = make_ring_inputs(MIN_PLUS, 16, 32, 16, rng)
+        expected, expected_stats = mmo_tiled_split_k(
+            "min-plus", a, b, c, splits=2, backend="vectorized"
+        )
+        token = CancellationToken()
+        hook = CancelAfter(token, 2, "too late")
+        with use_context(
+            backend="vectorized", cancel=token, hooks=(hook,)
+        ) as ctx:
+            got, stats = mmo_tiled_split_k(
+                "min-plus", a, b, c, splits=2, context=ctx
+            )
+        assert token.cancelled
+        np.testing.assert_array_equal(got, expected)
+        assert got.dtype == expected.dtype
+        assert stats == expected_stats
+
     def test_cancel_wins_over_expired_deadline(self, rng):
         a, b, _ = make_ring_inputs(MIN_PLUS, 16, 32, 16, rng, with_c=False)
         clock = VirtualClock()
@@ -137,38 +160,53 @@ class TestSerialCancellation:
         with use_context(
             backend="vectorized", cancel=token, budget=budget, clock=clock
         ) as ctx:
-            graph, _, _ = split_k_graph(
-                ctx, resolve_opcode(MIN_PLUS), a, b, None, splits=2
-            )
+            graph = split_k_graph(ctx, resolve_opcode(MIN_PLUS), a, b, splits=2)
             with pytest.raises(OperationCancelled, match="user hit"):
                 SerialExecutor().run(graph, context=ctx)
 
 
 class TestThreadedCancellation:
     def test_threaded_drains_and_reports_unrun_nodes(self, rng):
-        # split-k: the reduce node depends on every partial launch, so a
-        # cancel during the launch wave leaves it unrun — the threaded
-        # executor drains in-flight launches and raises without ever
-        # submitting the reduce.
+        # Four split-k launches on two workers: when the second launch
+        # completes, at most one more has started, so a cancel there
+        # leaves at least one launch unstarted — the threaded executor
+        # drains in-flight launches and raises.
         a, b, _ = make_ring_inputs(MIN_PLUS, 16, 64, 16, rng, with_c=False)
         token = CancellationToken()
         hook = CancelAfter(token, 2, "load shed")
         with use_context(
             backend="vectorized", cancel=token, hooks=(hook,)
         ) as ctx:
-            graph, out_ref, _ = split_k_graph(
-                ctx, resolve_opcode(MIN_PLUS), a, b, None, splits=4
-            )
+            graph = split_k_graph(ctx, resolve_opcode(MIN_PLUS), a, b, splits=4)
             with pytest.raises(OperationCancelled) as excinfo:
                 ThreadPoolExecutor(max_workers=2).run(graph, context=ctx)
         err = excinfo.value
         assert err.reason == "load shed"
-        assert err.total_nodes == len(graph.nodes)
-        # Dependency consistency: the reduce node never ran, and every
-        # reported index really is a graph node that ran to completion.
-        assert out_ref.node not in err.nodes_completed
+        # Every reported index really is a launch that ran to completion.
+        assert 2 <= len(err.nodes_completed) < err.total_nodes == 4
         assert set(err.nodes_completed) <= set(range(len(graph.nodes)))
-        assert len(err.nodes_completed) >= 2
+
+    def test_mid_run_cancel_leaves_unstarted_launches_unstarted(self, rng):
+        # Six 192² launches on two workers, cancelled at the second
+        # completion: every launch is submitted up front, but each worker
+        # checks the token before it starts one, so the rest never run.
+        a3 = np.stack(
+            [make_ring_inputs(MIN_PLUS, 192, 192, 192, rng)[0] for _ in range(6)]
+        )
+        b3 = np.stack(
+            [make_ring_inputs(MIN_PLUS, 192, 192, 192, rng)[1] for _ in range(6)]
+        )
+        token = CancellationToken()
+        hook = CancelAfter(token, 2, "shed")
+        with use_context(
+            backend="vectorized", cancel=token, hooks=(hook,),
+            scheduler=ThreadPoolExecutor(max_workers=2),
+        ) as ctx:
+            with pytest.raises(OperationCancelled) as excinfo:
+                batched_mmo("min-plus", a3, b3, context=ctx)
+        err = excinfo.value
+        assert err.total_nodes == 6
+        assert 2 <= len(err.nodes_completed) < 6
 
     def test_serial_and_threaded_raise_the_same_typed_error(self, rng):
         a, b, _ = make_ring_inputs(MIN_PLUS, 16, 64, 16, rng, with_c=False)
@@ -179,8 +217,8 @@ class TestThreadedCancellation:
             with use_context(
                 backend="vectorized", cancel=token, hooks=(hook,)
             ) as ctx:
-                graph, _, _ = split_k_graph(
-                    ctx, resolve_opcode(MIN_PLUS), a, b, None, splits=4
+                graph = split_k_graph(
+                    ctx, resolve_opcode(MIN_PLUS), a, b, splits=4
                 )
                 with pytest.raises(OperationCancelled) as excinfo:
                     scheduler.run(graph, context=ctx)
@@ -201,8 +239,8 @@ class TestThreadedCancellation:
             with use_context(
                 backend="vectorized", cancel=token, hooks=(hook,)
             ) as ctx:
-                graph, _, _ = split_k_graph(
-                    ctx, resolve_opcode(MIN_PLUS), a, b, None, splits=4
+                graph = split_k_graph(
+                    ctx, resolve_opcode(MIN_PLUS), a, b, splits=4
                 )
                 try:
                     result = ThreadPoolExecutor(max_workers=3).run(
@@ -219,9 +257,9 @@ class TestThreadedCancellation:
                     )
 
     def test_fully_drained_run_returns_normally(self, rng):
-        # Flat graphs submit every node before a mid-run cancel can land;
-        # once all values exist the run is a success, matching serial's
-        # rule of only checking before *pending* nodes.
+        # Four launches on four workers have all started before the cancel
+        # lands; once every output exists the run is a success, matching
+        # serial's rule of only checking before *pending* launches.
         a3 = np.stack(
             [make_ring_inputs(MIN_PLUS, 16, 8, 16, rng)[0] for _ in range(4)]
         )
@@ -233,7 +271,7 @@ class TestThreadedCancellation:
         with use_context(
             backend="vectorized", cancel=token, hooks=(hook,)
         ) as ctx:
-            graph, _ = batched_graph(
+            graph = batched_graph(
                 ctx, resolve_opcode(MIN_PLUS), a3, b3, None, 4
             )
             result = ThreadPoolExecutor(max_workers=4).run(graph, context=ctx)
@@ -269,7 +307,7 @@ class TestSchedulerDeadline:
             [make_ring_inputs(MIN_PLUS, 16, 8, 16, rng)[1] for _ in range(3)]
         )
         with use_context(backend="vectorized") as ctx:
-            graph, _ = batched_graph(
+            graph = batched_graph(
                 ctx, resolve_opcode(MIN_PLUS), a3, b3, None, 3
             )
             result = SerialExecutor().run(graph, context=ctx)

@@ -2,8 +2,9 @@
 
 The ThreadPoolExecutor's contract is that parallelism is *unobservable*:
 result bytes, kernel statistics, fault injections, and surfaced errors
-all match the SerialExecutor on every ring — because fold order, gather
-windows, and fault ordinals are pinned in the graph, not the schedule.
+all match the SerialExecutor on every ring — because outputs come back
+in launch order, the entry point folds or gathers them in that order,
+and fault ordinals are pinned at build time, not by the schedule.
 """
 
 from __future__ import annotations

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.apps.floyd_warshall import floyd_warshall
 from repro.compile.lower import build_tile_mmo_program
@@ -21,11 +21,27 @@ from repro.runtime import (
     vxm,
 )
 from repro.runtime.batched import batched_mmo
+from repro.runtime.multidevice import mmo_tiled_multi_device
 from repro.sched.executor import SerialExecutor, ThreadPoolExecutor
+from tests.conftest import make_ring_inputs
 
 seeds = st.integers(0, 2**32 - 1)
 IDEMPOTENT = ("min-plus", "max-plus", "min-max", "max-min", "or-and")
 METHODS = ("leyzorek", "bellman-ford", "blocked")
+RINGS = sorted(SEMIRINGS)
+#: ``(m, k, n)`` off the 16-grid; ``k`` may be 0 and ``m`` 1 (a 1×N output).
+SHAPES = st.tuples(st.integers(1, 40), st.integers(0, 40), st.integers(1, 40))
+SCHEDULERS = st.sampled_from(("serial", "threaded"))
+
+
+def _scheduled(scheduler: str) -> ExecutionContext:
+    return ExecutionContext(
+        backend="vectorized",
+        scheduler=(
+            SerialExecutor() if scheduler == "serial"
+            else ThreadPoolExecutor(max_workers=2)
+        ),
+    )
 
 
 def _closure_input(ring_name: str, n: int, seed: int) -> np.ndarray:
@@ -146,6 +162,62 @@ class TestKernelSchedulingProperties:
             b = rng.integers(-4, 5, (k, 7)).astype(float)
         split, _ = mmo_tiled_split_k(ring, a, b, splits=splits)
         np.testing.assert_array_equal(split, mmo(ring, a, b))
+
+    # The mmo-level slice of the configuration sweep: every entry point
+    # that lowers onto a LaunchGraph, on both schedulers, with and without
+    # C, equals core.mmo bit for bit (make_ring_inputs draws small
+    # integers, so every fold order is exact).
+    @given(st.sampled_from(RINGS), st.integers(1, 5), SHAPES, st.booleans(), SCHEDULERS, seeds)
+    @example("min-plus", 3, (5, 0, 7), True, "threaded", 0)
+    @example("plus-mul", 5, (1, 37, 23), False, "threaded", 1)
+    @settings(max_examples=40, deadline=None)
+    def test_split_k_matches_mmo(self, name, splits, shape, with_c, scheduler, seed):
+        rng = np.random.default_rng(seed)
+        a, b, c = make_ring_inputs(SEMIRINGS[name], *shape, rng, with_c=with_c)
+        got, stats = mmo_tiled_split_k(
+            name, a, b, c, splits=splits, context=_scheduled(scheduler)
+        )
+        expected = mmo(name, a, b, c)
+        np.testing.assert_array_equal(got, expected)
+        assert got.dtype == expected.dtype
+        assert len(stats) == max(1, min(splits, shape[1]))
+
+    @given(st.sampled_from(RINGS), st.integers(1, 4), SHAPES, st.booleans(), SCHEDULERS, seeds)
+    @example("max-min", 3, (5, 0, 7), True, "threaded", 0)
+    @example("or-and", 2, (1, 19, 33), False, "threaded", 1)
+    @settings(max_examples=40, deadline=None)
+    def test_batched_matches_mmo(self, name, batch, shape, with_c, scheduler, seed):
+        rng = np.random.default_rng(seed)
+        a_s, b_s, c_s = zip(*(
+            make_ring_inputs(SEMIRINGS[name], *shape, rng, with_c=with_c)
+            for _ in range(batch)
+        ))
+        c3 = np.stack(c_s) if with_c else None
+        got, stats = batched_mmo(
+            name, np.stack(a_s), np.stack(b_s), c3, context=_scheduled(scheduler)
+        )
+        assert stats.batch == batch
+        for i in range(batch):
+            expected = mmo(name, a_s[i], b_s[i], c_s[i])
+            np.testing.assert_array_equal(got[i], expected)
+            assert got[i].dtype == expected.dtype
+
+    @given(st.sampled_from(RINGS), st.integers(1, 3), SHAPES, st.booleans(), SCHEDULERS, seeds)
+    @example("min-max", 3, (40, 0, 9), True, "threaded", 0)
+    @example("plus-norm", 2, (1, 21, 40), False, "threaded", 1)
+    @settings(max_examples=40, deadline=None)
+    def test_multi_device_matches_mmo(self, name, devices, shape, with_c, scheduler, seed):
+        rng = np.random.default_rng(seed)
+        a, b, c = make_ring_inputs(SEMIRINGS[name], *shape, rng, with_c=with_c)
+        got, shares = mmo_tiled_multi_device(
+            name, a, b, c,
+            devices=[Simd2Device() for _ in range(devices)],
+            context=_scheduled(scheduler),
+        )
+        expected = mmo(name, a, b, c)
+        np.testing.assert_array_equal(got, expected)
+        assert got.dtype == expected.dtype
+        assert sum(s.row_stop - s.row_start for s in shares) == shape[0]
 
     @given(st.integers(1, 4), st.integers(2, 8), seeds)
     @settings(max_examples=30, deadline=None)
