@@ -1,4 +1,4 @@
-.PHONY: install test bench bench-smoke check-autotune check-backends check-chaos check-resilience check-scheduler check-static check-types tables csv examples all clean
+.PHONY: install test bench bench-smoke bench-e2e check-autotune check-backends check-chaos check-resilience check-scheduler check-static check-types tables csv examples all clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -13,6 +13,13 @@ bench:
 # PYTHONPATH makes it work from a bare checkout, before `make install`.
 bench-smoke:
 	PYTHONPATH=src python benchmarks/bench_hotpaths.py
+
+# End-to-end trajectory: the perfbench workloads, untraced, on seeds 1-3;
+# appends one entry per measured tree to BENCH_e2e.json.  AGAINST=<rev>
+# also measures that revision's committed files, alternating run by run
+# with the working tree (about 7 minutes on 2 CPUs).
+bench-e2e:
+	python tools/bench_e2e.py $(if $(AGAINST),--against $(AGAINST))
 
 # Backend-registry health: every registered backend agrees with the
 # vectorized reference, context dispatch stays within 5% of a direct

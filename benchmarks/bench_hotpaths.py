@@ -15,7 +15,10 @@ top-k selection ``repro.apps.knn.select_k_smallest`` is gated the same way
 against a frozen copy of the stable-argsort selection it replaced
 (:func:`_argsort_select`): equal results and at least ``TOPK_MIN_SPEEDUP``
 times faster on a tie-heavy 1024² matrix, plus a 4096² ``knn_wide``-shaped
-distance matrix with ``--full``.
+distance matrix with ``--full``.  The kernel's per-ring choice of ufunc
+buffer is gated against a frozen copy of the streaming kernel on NumPy's
+default buffer (:func:`_default_buffer_mmo`), on the 768×64×768 launches
+of ``RING_BUFFER_GATES``: equal bits and at least each case's speedup.
 
 Usage::
 
@@ -49,6 +52,8 @@ from repro.hw.device import Simd2Device
 from repro.runtime.kernels import mmo_tiled
 from repro.sparse import CsrMatrix, spgemm, spgemm_reference
 
+from interleaved import interleaved_mins
+
 
 #: The streaming kernel must beat the broadcast-and-reduce baseline by this.
 KERNEL_MIN_SPEEDUP = 1.8
@@ -58,6 +63,17 @@ TOPK_MIN_SPEEDUP = 3.0
 
 #: Neighbours per query in the top-k gate, as in the ``knn_wide`` workload.
 TOPK_K = 16
+
+#: ``(ring, with C, minimum speedup)`` of ``repro.core.ops.mmo`` over
+#: :func:`_default_buffer_mmo` on an ``RING_BUFFER_SHAPE`` launch.  Min-plus
+#: with C is ``apsp_dense``'s rank-64 update.  Or-and keeps NumPy's default
+#: buffer, so its bound only catches a move onto the row buffer (about 0.13x).
+RING_BUFFER_SHAPE = (768, 64, 768)
+RING_BUFFER_GATES = (
+    ("min-plus", True, 1.5),
+    ("plus-norm", False, 1.3),
+    ("or-and", True, 0.8),
+)
 
 
 def _broadcast_reduce_mmo(ring, a, b):
@@ -115,6 +131,90 @@ def bench_kernel(records: list[dict], n: int, *, repeats: int) -> float:
             f"broadcast baseline, below the {KERNEL_MIN_SPEEDUP}x gate"
         )
     return speedup
+
+
+def _default_buffer_mmo(ring, a, b, c=None):
+    """The streaming kernel of ``repro.core.ops.mmo`` on NumPy's default
+    ufunc buffer, frozen here, for rings whose ⊕ is a ufunc.
+
+    Same blocking and fold order; every rank-1 update runs under the
+    caller's buffer, and C is copied into the output before the loop.
+    """
+    ring = get_semiring(ring)
+    a_cols = np.ascontiguousarray(quantize_input(a, ring).astype(ring.output_dtype).T)
+    b_rows = quantize_input(b, ring).astype(ring.output_dtype)
+    (k, m), n = a_cols.shape, b_rows.shape[1]
+    out = ring.full((m, n)) if c is None else np.asarray(c).astype(ring.output_dtype)
+    rows = max(1, min(m, 2**17 // n))
+    steps = max(1, 2**17 // (rows * n))
+    with np.errstate(invalid="ignore"):
+        for start in range(0, m, rows):
+            cols = a_cols[:, start : start + rows]
+            acc = ring.reduce(
+                ring.otimes(cols[:steps, :, None], b_rows[:steps, None, :]), axis=0
+            )
+            chunk = np.empty((steps, *acc.shape), dtype=ring.output_dtype)
+            for kk in range(steps, k, steps):
+                a_k = cols[kk : kk + steps, :, None]
+                b_k = b_rows[kk : kk + steps, None, :]
+                for product in ring.otimes(a_k, b_k, out=chunk[: len(a_k)]):
+                    ring.oplus(acc, product, out=acc)
+            out[start : start + rows] = ring.combine(out[start : start + rows], acc)
+    return out
+
+
+def _ring_buffer_inputs(ring, with_c):
+    """Integer weights, with ±inf "no edge" entries on the min/max rings
+    and zeros on plus-norm; fp32 C."""
+    m, k, n = RING_BUFFER_SHAPE
+    rng = np.random.default_rng(13)
+    ring = get_semiring(ring)
+    if ring.is_boolean():
+        a, b, c = rng.random((m, k)) < 0.1, rng.random((k, n)) < 0.1, rng.random((m, n)) < 0.1
+    else:
+        a, b, c = (
+            rng.integers(0, 9, shape).astype(np.float32) for shape in ((m, k), (k, n), (m, n))
+        )
+        sentinel = ring.oplus_identity if np.isinf(ring.oplus_identity) else 0.0
+        a[rng.random((m, k)) < 0.5] = sentinel
+        b[rng.random((k, n)) < 0.5] = sentinel
+    return a, b, (c if with_c else None)
+
+
+def bench_ring_buffers(*, repeats: int) -> list[dict]:
+    """``core.ops.mmo`` vs :func:`_default_buffer_mmo` per ``RING_BUFFER_GATES``.
+
+    Min-of-``repeats``, interleaved.  Returns the gate entries; exits on a
+    bit mismatch or a speedup below a case's bound.
+    """
+    gates = []
+    for name, with_c, bound in RING_BUFFER_GATES:
+        a, b, c = _ring_buffer_inputs(name, with_c)
+        frozen, kernel = _default_buffer_mmo(name, a, b, c), core_ops.mmo(name, a, b, c)
+        if not np.array_equal(frozen.view(np.uint8), kernel.view(np.uint8)):
+            raise SystemExit(f"ring buffer {name}: mmo result != default-buffer result")
+        frozen_s, kernel_s = interleaved_mins(
+            lambda: _default_buffer_mmo(name, a, b, c),
+            lambda: core_ops.mmo(name, a, b, c),
+            repeats,
+        )
+        speedup = frozen_s / kernel_s
+        label = f"{name}{' with C' if with_c else ''}"
+        print(f"buffer  {'×'.join(map(str, RING_BUFFER_SHAPE))} {label:15s} "
+              f"default {frozen_s * 1e3:7.2f}ms  "
+              f"mmo {kernel_s * 1e3:7.2f}ms  (speedup {speedup:4.2f}x, "
+              f"need >= {bound}x, bit-identical)")
+        if speedup < bound:
+            raise SystemExit(
+                f"ring buffer {label}: mmo {speedup:.2f}x faster than the "
+                f"default-buffer kernel, below the {bound}x gate"
+            )
+        gates.append({
+            "ring": name, "shape": list(RING_BUFFER_SHAPE), "with_c": with_c,
+            "default_buffer_s": frozen_s, "mmo_s": kernel_s,
+            "speedup": round(speedup, 2), "min_speedup": bound,
+        })
+    return gates
 
 
 def _argsort_select(distances, k):
@@ -268,6 +368,7 @@ def main(argv: list[str] | None = None) -> int:
     records: list[dict] = []
     kernel_n = 2048 if args.full else 512
     kernel_speedup = bench_kernel(records, kernel_n, repeats=2 if args.full else 3)
+    ring_buffer_gates = bench_ring_buffers(repeats=15 if args.full else 7)
     topk_points = [(1024, "tie_heavy")] + ([(4096, "knn_wide")] if args.full else [])
     topk_gate = [
         {"n": n, "inputs": shape, "k": TOPK_K,
@@ -310,6 +411,7 @@ def main(argv: list[str] | None = None) -> int:
             "min_speedup": KERNEL_MIN_SPEEDUP,
         },
         "topk_gate": topk_gate,
+        "ring_buffer_gates": ring_buffer_gates,
     }
     payload = json.dumps(artifact, indent=2)
     if args.out:

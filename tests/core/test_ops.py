@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from repro.core import SEMIRINGS, SemiringError, get_semiring, mmo, ops
+from repro.core import SEMIRINGS, Semiring, SemiringError, get_semiring, mmo, ops
 from repro.core.ops import gemm, mmo_reference, squared_l2_distance
 from repro.core.quantized import int8_variant
 from tests.conftest import make_ring_inputs
@@ -169,6 +171,14 @@ def _fold_case(name, m, k, n):
     return ring, a, b, c
 
 
+def _assert_fold_matches_reference(name, shape):
+    ring, a, b, c = _fold_case(name, *shape)
+    for acc in (None, c):
+        got = mmo(ring, a, b, acc)
+        assert got.dtype == ring.output_dtype
+        np.testing.assert_array_equal(got, mmo_reference(ring, a, b, acc))
+
+
 class TestKernelFoldOrder:
     """The streaming kernel gives the reference's left-to-right fold, bit for bit."""
 
@@ -177,8 +187,128 @@ class TestKernelFoldOrder:
     @pytest.mark.parametrize("name", FOLD_RINGS)
     def test_matches_reference(self, name, shape, budget, monkeypatch):
         monkeypatch.setattr(ops, "_BUDGET", budget)
-        ring, a, b, c = _fold_case(name, *shape)
+        _assert_fold_matches_reference(name, shape)
+
+    @pytest.mark.parametrize("shape", FOLD_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    @pytest.mark.parametrize("name", FOLD_RINGS)
+    def test_row_buffer_loop_matches_reference(self, name, shape, monkeypatch):
+        # A zero width sends every streamed launch of an arithmetic ring
+        # through the row-buffer loop; the int8 variants cannot take it.
+        monkeypatch.setattr(ops, "_BUDGET", 32)
+        monkeypatch.setattr(ops, "_UNBUFFERED_WIDTH", 0)
+        _assert_fold_matches_reference(name, shape)
+
+    @pytest.mark.parametrize("name", sorted(SEMIRINGS))
+    def test_row_buffer_only_for_arithmetic_otimes_on_wide_rows(self, name, monkeypatch):
+        monkeypatch.setattr(ops, "_BUDGET", 32)
+        sizes = []
+        real = ops._ufunc_buffer
+        monkeypatch.setattr(ops, "_ufunc_buffer", lambda size: sizes.append(size) or real(size))
+        width = ops._UNBUFFERED_WIDTH
+        ring, a, b, c = _fold_case(name, 2, 3, width)
+        mmo(ring, a, b, c)
+        mmo(ring, a, b[:, 1:], c[:, 1:])  # one lane too narrow
+        arithmetic = name not in ("min-max", "max-min", "or-and")
+        assert sizes == ([ops._ROW_BUFFER] if arithmetic else [])
+
+
+def _assert_bits_equal(got, want):
+    """Equal NaN positions; every other element equal bit for bit (so ±0 differ)."""
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(got.view(np.uint32)[~nan], want.view(np.uint32)[~nan])
+
+
+class TestSignedZerosAndNaN:
+    """±0.0, ±inf and NaN in A, B and C: the reference's bits on both loops."""
+
+    VALUES = np.array([0.0, -0.0, np.inf, -np.inf, 1.0, -2.0])
+    WEIGHTS = [0.36, 0.36, 0.04, 0.04, 0.1, 0.1]
+
+    # With a 32-element budget, 1-step chunks in row blocks of 6 and 2-step
+    # chunks in one block.  Short folds, so that 0·inf leaves most lanes
+    # finite.
+    @pytest.mark.parametrize("width", [ops._UNBUFFERED_WIDTH, 0], ids=["default", "row"])
+    @pytest.mark.parametrize("shape", [(13, 6, 5), (3, 8, 5)], ids=["13x6x5", "3x8x5"])
+    @pytest.mark.parametrize("name", sorted(set(SEMIRINGS) - {"or-and"}))
+    def test_matches_reference_bits(self, name, shape, width, monkeypatch):
+        monkeypatch.setattr(ops, "_BUDGET", 32)
+        monkeypatch.setattr(ops, "_UNBUFFERED_WIDTH", width)
+        m, k, n = shape
+        rng = np.random.default_rng([m, k, n])
+        a, b, c = (
+            rng.choice(self.VALUES, size, p=self.WEIGHTS) for size in ((m, k), (k, n), (m, n))
+        )
+        a[0, 1] = b[2, 3] = c[1, 0] = np.nan
+        ring = SEMIRINGS[name]
         for acc in (None, c):
-            got = mmo(ring, a, b, acc)
-            assert got.dtype == ring.output_dtype
-            np.testing.assert_array_equal(got, mmo_reference(ring, a, b, acc))
+            with np.errstate(invalid="ignore"):  # the reference's inf - inf
+                want = mmo_reference(ring, a, b, acc)
+            _assert_bits_equal(mmo(ring, a, b, acc), want)
+
+
+def _recording_ring(seen, raise_on_call=None):
+    """An arithmetic min-plus ring whose ⊗ records the ufunc buffer size it
+    runs under, and raises on call ``raise_on_call`` of an mmo."""
+
+    def otimes(x, y, out=None):
+        seen.append(np.getbufsize())
+        if len(seen) == raise_on_call:
+            raise RuntimeError("⊗ failed")
+        return np.add(x, y, out=out)
+
+    ring = Semiring(name="recording", oplus=np.minimum, otimes=otimes, oplus_identity=np.inf)
+    seen.clear()  # the k-padding check at construction called ⊗ once
+    return ring
+
+
+class TestUfuncBufferHygiene:
+    """The kernel hands the caller's ufunc buffer size back on every exit."""
+
+    @pytest.fixture(autouse=True)
+    def _stream(self, monkeypatch):
+        monkeypatch.setattr(ops, "_BUDGET", 32)  # (2, 3, width) streams in 1-step chunks
+
+    @staticmethod
+    def _launch(ring):
+        return mmo(ring, np.ones((2, 3)), np.ones((3, ops._UNBUFFERED_WIDTH)))
+
+    @staticmethod
+    def _under_bufsize(size, body):
+        caller = np.setbufsize(size)
+        try:
+            body()
+            return np.getbufsize()
+        finally:
+            np.setbufsize(caller)
+
+    @pytest.mark.parametrize("caller", [np.getbufsize(), 4096, 16])
+    def test_after_return(self, caller):
+        seen = []
+        after = self._under_bufsize(caller, lambda: self._launch(_recording_ring(seen)))
+        assert after == caller
+        assert set(seen) == {ops._ROW_BUFFER}
+
+    @pytest.mark.parametrize("caller", [np.getbufsize(), 4096])
+    def test_after_raise_inside_the_loop(self, caller):
+        seen = []
+
+        def body():
+            with pytest.raises(RuntimeError, match="⊗ failed"):
+                self._launch(_recording_ring(seen, raise_on_call=2))
+
+        assert self._under_bufsize(caller, body) == caller
+        assert seen == [ops._ROW_BUFFER, ops._ROW_BUFFER]
+
+    def test_in_a_thread_pool_worker(self):
+        main = np.getbufsize()
+
+        def worker(size):
+            seen = []
+            return self._under_bufsize(size, lambda: self._launch(_recording_ring(seen))), seen
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            results = list(pool.map(worker, [4096, 2048, 1024, 512], timeout=60))
+        assert [after for after, _ in results] == [4096, 2048, 1024, 512]
+        assert all(set(seen) == {ops._ROW_BUFFER} for _, seen in results)
+        assert np.getbufsize() == main
