@@ -122,7 +122,7 @@ def sweep_point(n: int, density: float, statics: list[str]) -> dict:
 
     # Only model-plausible contenders are timed (see CONTENDER_BAND).
     est = estimate_density(a, RING)
-    spec = LaunchSpec(n, n, n, density_a=est, density_b=est)
+    spec = LaunchSpec(RING, n, n, n, density_a=est, density_b=est)
     model = {name: estimate(name, spec) for name in statics}
     floor = min(model.values())
     contenders = [s for s in statics if model[s] <= CONTENDER_BAND * floor]
@@ -199,7 +199,8 @@ def main(argv: list[str] | None = None) -> int:
     points: list[dict] = []
     failures: list[str] = []
     for n, densities in GRID.items():
-        for density in sorted(set(densities + [round(crossover_density(n), 4)])):
+        crossover = round(crossover_density(n, ring=RING), 4)
+        for density in sorted(set(densities + [crossover])):
             if density <= 0.0:
                 continue  # no modelled crossover at this size
             point = sweep_point(n, density, statics)
@@ -236,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
         "abs_noise_floor_s": ABS_NOISE_FLOOR_S,
         "static_backends": statics,
         "crossovers": {
-            str(n): round(crossover_density(n), 6) for n in GRID
+            str(n): round(crossover_density(n, ring=RING), 6) for n in GRID
         },
         "warm_shifts": shifted,
         "points": points,

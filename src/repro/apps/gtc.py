@@ -69,12 +69,10 @@ def gtc_simd2(
     """SIMD² GTC: or-and closure of the reflexive adjacency matrix.
 
     Unlike the other closure apps, GTC defaults to the paper's Leyzorek
-    loop.  Under ``backend="auto"`` the planner's ring-blind cost model
-    prices the dense or-and pass of blocked closure's rank-64 updates
-    about 20x above its measured time on a 2-CPU x86 VM, so which updates
-    go to spGEMM, and with it the solve time, depends on each input's
-    density: 1.6x apart between random graphs of the same size and edge
-    probability.  Pass ``method="blocked"`` for the tiled schedule.
+    loop, the schedule of the paper's GTC: under ``backend="auto"`` each
+    squaring is planned on its own, so the sparse early iterates go to
+    spGEMM and the dense later ones to the dense kernel.  Pass
+    ``method="blocked"`` for the tiled schedule.
     """
     adjacency = _validate_boolean(adjacency).copy()
     np.fill_diagonal(adjacency, True)  # reflexive closure, as the paper's GTC

@@ -98,6 +98,25 @@ def _blocking(m: int, n: int) -> tuple[int, int]:
     return rows, max(1, _BUDGET // (rows * lanes))
 
 
+def kernel_loop(ring: Semiring, m: int, n: int, k: int) -> tuple[int, int, bool]:
+    """The loop :func:`mmo` runs for an ``(m, n, k)`` launch under ``ring``.
+
+    Returns the rows per block and inner steps per ⊗ chunk
+    (:func:`_blocking`), and whether the rank-1 updates run under the
+    row-sized ufunc buffer.  The substrate cost model
+    (:mod:`repro.timing.backend_cost`) prices each launch from this same
+    answer.
+    """
+    rows, steps = _blocking(m, n)
+    unbuffered = (
+        isinstance(ring.oplus, np.ufunc)
+        and k > steps
+        and n >= _UNBUFFERED_WIDTH
+        and ring.otimes not in (np.minimum, np.maximum, np.logical_and)
+    )
+    return rows, steps, unbuffered
+
+
 @contextlib.contextmanager
 def _ufunc_buffer(size: int) -> Iterator[None]:
     """Run the block under a ufunc buffer of ``size`` elements.
@@ -147,14 +166,8 @@ def mmo(
     a_cols = np.ascontiguousarray(quantize_input(a, ring).astype(ring.output_dtype).T)
     b_rows = quantize_input(b, ring).astype(ring.output_dtype)
     out = np.empty((m, n), dtype=ring.output_dtype)
-    rows, steps = _blocking(m, n)
+    rows, steps, unbuffered = kernel_loop(ring, m, n, k)
     in_place = isinstance(ring.oplus, np.ufunc)
-    unbuffered = (
-        in_place
-        and k > steps
-        and n >= _UNBUFFERED_WIDTH
-        and ring.otimes not in (np.minimum, np.maximum, np.logical_and)
-    )
 
     # Padded lanes may compute inf·0 = nan; those land only in padded outputs.
     buffer = _ufunc_buffer(_ROW_BUFFER) if unbuffered else contextlib.nullcontext()

@@ -4,7 +4,8 @@ Given ``(opcode, shape, ring, operand density)`` the :class:`Planner`
 produces a :class:`DispatchPlan` — every *capable* registered backend
 (capability filtering replaces the sparse backend's old execute-time
 probing), ranked by expected wall time.  Cold, the expectation is the
-substrate-calibrated model (:mod:`repro.timing.backend_cost`); once the
+substrate model's price for that backend and ring, fitted to measured
+launches (:mod:`repro.timing.backend_cost`); once the
 :class:`~repro.plan.autotune.AutotuneTable` holds an observation for a
 backend's bucket, the observed time wins.
 
@@ -64,10 +65,14 @@ __all__ = [
     "planner_order",
 ]
 
-#: Multiplicative residual band of the calibrated cost model near the
-#: sparse/dense crossover (worst observed mispick cost during fitting).
-#: Model margins inside this band are treated as ties worth one probe.
+#: Multiplicative residual band of the fitted cost model near the
+#: sparse/dense crossover: at every point of the fit's sweep, the backend
+#: the model picks was measured within this factor of the fastest.  Model
+#: margins inside this band are treated as ties worth one probe.
 MODEL_ERROR_BAND = 1.35
+
+#: The ring a ring-less :func:`planner_order` prices its nominal launch in.
+_NOMINAL_RING = "plus-mul"
 
 
 class PlanError(RuntimeError_):
@@ -197,7 +202,7 @@ class Planner:
                 + (" with an accumulator" if has_accumulator else "")
             )
         spec = LaunchSpec(
-            m, n, k,
+            ring_name, m, n, k,
             density_a=density_a, density_b=density_b,
             has_accumulator=has_accumulator,
         )
@@ -284,11 +289,12 @@ def crossover_density(
     n: int | None = None,
     k: int | None = None,
     *,
+    ring: "Semiring | str | MmoOpcode",
     sparse_backend: str = "sparse",
     dense_backend: str = "vectorized",
     tolerance: float = 1e-6,
 ) -> float:
-    """The operand density where the two model costs break even.
+    """The operand density where the two model costs of ``ring`` break even.
 
     Below the returned density the sparse model is cheaper, above it the
     dense one — the planner's cold prediction of the paper's Fig-14
@@ -299,9 +305,12 @@ def crossover_density(
     """
     n = m if n is None else n
     k = m if k is None else k
+    ring_name = resolve_opcode(ring).semiring.name
 
     def gap(density: float) -> float:
-        spec = LaunchSpec(m, n, k, density_a=density, density_b=density)
+        spec = LaunchSpec(
+            ring_name, m, n, k, density_a=density, density_b=density
+        )
         return estimate(sparse_backend, spec) - estimate(dense_backend, spec)
 
     lo, hi = 0.0, 1.0
@@ -330,7 +339,8 @@ def planner_order(
 
     The shape :class:`~repro.resilience.policy.FallbackChain` consumes:
     with operands, the real plan's order (capability-filtered, density
-    aware); without them, a nominal dense square launch prices a static
+    aware); without them, a nominal dense square launch of ``ring`` (of
+    plus-mul, the GEMM ring, when no ring is given) prices a static
     ordering over every non-planning backend.
     """
     planner = Planner(table)
@@ -348,11 +358,13 @@ def planner_order(
         )
         return plan.order
     if ring is not None:
-        names = list(capable_backends(resolve_opcode(ring).semiring.name))
+        ring_name = resolve_opcode(ring).semiring.name
+        names = list(capable_backends(ring_name))
     else:
         from repro.backends.base import list_backends
 
+        ring_name = _NOMINAL_RING
         names = list(list_backends())
-    spec = LaunchSpec(256, 256, 256)
+    spec = LaunchSpec(ring_name, 256, 256, 256)
     names = [name for name in names if not _is_planning_backend(name)]
     return tuple(sorted(names, key=lambda name: (estimate(name, spec), name)))

@@ -1,52 +1,76 @@
-"""Substrate-calibrated wall-time estimators, one per execution backend.
+"""Substrate wall-time prices, one per execution backend and ring.
 
 The GPU-analytic model in :mod:`repro.timing.costmodel` prices the
 *paper's* hardware; the planner (:mod:`repro.plan`) needs something
 different — a price for this repository's own execution substrates, so a
 cold autotune table can still rank ``vectorized`` against ``sparse``
-against ``emulate`` for a concrete ``(m, n, k, density)`` launch.  This
-module is that price list, behind one interface::
+against ``emulate`` for a concrete launch.  This module is that price
+list, behind one interface::
 
-    estimate(backend_name, LaunchSpec(m, n, k, density_a=..., density_b=...))
+    estimate(backend_name, LaunchSpec(ring, m, n, k, density_a=..., density_b=...))
         -> seconds
 
-Model structure follows the actual kernels:
+As the paper prices every MMO opcode differently (FMA fusion makes
+plus-mul cheap, the min/max structural hazard makes min-max dear), a
+price here is per backend *and* per ring: a sum of terms, each a count
+the backend's code scales with (:func:`terms`), times a coefficient
+fitted for that ``(backend, ring)`` pair:
 
-- **vectorized** — one fused ⊗/⊕ pass over the padded operand volume:
-  an output-sized term plus a per-``(i, k, j)``-pair term, with a mild
-  super-linear correction once the working set outgrows cache.
-- **sparse** — Gustavson spGEMM (:mod:`repro.sparse.spgemm`): CSR
-  compression/densification scans every dense entry, the row loop costs
-  per output row, gathering B-row slices costs per *A-nonzero*, and the
-  ⊗/merge work scales with the expected product count
-  ``m·n·k·density_a·density_b``.
-- **emulate** — the instruction-level device emulator: a large per-pair
-  constant (it replays warp programs tile by tile in Python), so it
-  never wins on time; it ranks last among the built-ins by design.
+- **vectorized** (:mod:`repro.backends.vectorized`, on the padded
+  operands) — a per-launch constant, the entries of A (each quantised,
+  and each one inner step of one output row: a call of the ufunc's inner
+  loop) and of B, the output entries, and the ``(i, k, j)`` pairs, split
+  by the loop :func:`repro.core.ops.kernel_loop` says
+  :func:`~repro.core.ops.mmo` runs them in: one broadcast-and-reduce, the
+  streamed rank-1 updates under NumPy's default ufunc buffer, or the same
+  updates under the row-sized buffer;
+- **sparse** (:mod:`repro.backends.sparse`, Gustavson spGEMM) — a
+  per-launch constant, the dense entries quantised, compressed,
+  densified and ⊕-ed with C, the expected A rows the row loop touches,
+  one B-row slice gathered per A nonzero, the expected ⊗ products
+  (``m·n·k·density_a·density_b``), and the share of them whose column the
+  other slices of the row mostly lack (``products·(1 − density_b)``).
+  Each row's products are sorted by column: slices of dense B rows hold
+  nearly the same columns and merge in a regular order, slices of sparse
+  ones interleave at random, and sorting those costs several times more
+  per product on this substrate;
+- **emulate** (the instruction-level device) — a per-launch constant,
+  the output tiles staged, and the tile steps whose warp programs it
+  replays.
 
-Coefficients were fitted on the development container with non-negative
-least squares over interleaved min-of-repeats timings of square launches
-(n ∈ 64…384, density 0.005…1.0), weighted toward the sparse/dense
-crossover band.  They are *relative* prices: absolute wall times on
-other hosts will differ, but the planner only consumes the ordering and
-the crossover location, and the autotune table refines both online.
+The coefficients live in the generated module
+:mod:`repro.timing.backend_cost_fit`.  ``tools/fit_backend_cost.py``
+writes it: one non-negative least-squares fit per ``(backend, ring)``,
+weighted by relative error, over a committed sweep of ``impl.execute``
+wall times — the quantity
+:class:`~repro.plan.autotune.AutotuneHook` records, so a cold price and an
+observed one compare like for like in the planner.  ``--measure``
+re-measures the sweep on the current host first.  Prices are in this
+host's seconds; other hosts differ in scale, and the autotune table
+refines the ranking online.
 
-Unknown backends (a custom registered backend, say) estimate to
-:data:`UNKNOWN_COST_S` (infinite) so they rank behind every calibrated
-backend until the autotune table observes them.
+A backend or ring no fit covers prices at :data:`UNKNOWN_COST_S`
+(infinite), so a custom registered backend ranks behind every fitted one
+until the autotune table observes it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from typing import Callable
+
+from repro.core.ops import kernel_loop
+from repro.core.registry import get_semiring
+from repro.core.tiles import TILE, tile_counts
+from repro.timing.backend_cost_fit import COEFFICIENTS
 
 __all__ = [
     "CostModelError",
     "LaunchSpec",
+    "TERMS",
     "UNKNOWN_COST_S",
     "estimate",
+    "terms",
 ]
 
 #: Price of a backend nothing knows how to estimate: ranks last, always.
@@ -61,13 +85,15 @@ class CostModelError(ValueError):
 class LaunchSpec:
     """What a backend-cost estimator needs to know about one launch.
 
+    ``ring`` is the canonical semiring name (``"min-plus"``, ...).
     ``density_a``/``density_b`` are explicit-entry fractions of the two
-    operands under the launch's ring (see
+    operands under that ring (see
     :func:`repro.sparse.density.estimate_density`); dense callers leave
     them at 1.0.  ``has_accumulator`` is carried for completeness — the
     ⊕-with-C pass is an output-sized term every backend already includes.
     """
 
+    ring: str
     m: int
     n: int
     k: int
@@ -87,81 +113,89 @@ class LaunchSpec:
                     f"{name} must be within [0, 1], got {value}"
                 )
 
-    @property
-    def pairs(self) -> int:
-        """⊗/⊕ pair count of the dense computation."""
-        return self.m * self.n * self.k
 
-    @property
-    def output(self) -> int:
-        return self.m * self.n
+def _padded_tiles(spec: LaunchSpec) -> tuple[int, int, int]:
+    """The tile grid the dense backends run (``k == 0`` is one step)."""
+    tiles_m, tiles_n, tiles_k = tile_counts(spec.m, spec.n, spec.k)
+    return tiles_m, tiles_n, max(tiles_k, 1)
 
 
-# ----------------------------------------------------------------------
-# Calibrated built-in estimators.  Coefficients: see module docstring.
-# ----------------------------------------------------------------------
-
-_VEC_OUTPUT_S = 3.804e-08      # per output element (pad, crop, ⊕ with C)
-_VEC_PAIR_S = 1.467e-09        # per (i, k, j) pair, in-cache
-_VEC_CACHE_PAIR_S = 8.832e-10  # extra per pair and per doubling past cache
-_VEC_CACHE_EDGE = 192.0        # characteristic dim where the working set spills
-
-
-def vectorized_cost(spec: LaunchSpec) -> float:
-    """One fused vectorised pass over the padded dense volume."""
-    pairs = float(spec.pairs)
-    side = pairs ** (1.0 / 3.0) if pairs else 0.0
-    spill = max(0.0, math.log2(side / _VEC_CACHE_EDGE)) if side else 0.0
+def _vectorized_terms(spec: LaunchSpec) -> tuple[float, ...]:
+    tiles_m, tiles_n, tiles_k = _padded_tiles(spec)
+    m, n, k = tiles_m * TILE, tiles_n * TILE, tiles_k * TILE
+    _, steps, unbuffered = kernel_loop(get_semiring(spec.ring), m, n, k)
+    pairs = float(m * n * k)
+    streamed = k > steps
     return (
-        _VEC_OUTPUT_S * spec.output
-        + _VEC_PAIR_S * pairs
-        + _VEC_CACHE_PAIR_S * pairs * spill
+        1.0,
+        float(m * k),
+        float(k * n),
+        float(m * n),
+        0.0 if streamed else pairs,
+        pairs if streamed and not unbuffered else 0.0,
+        pairs if unbuffered else 0.0,
     )
 
 
-_SP_SCAN_S = 2.224e-08    # per dense entry scanned (compress + densify + ⊕)
-_SP_ROW_S = 4.379e-06     # per output row of the Gustavson loop
-_SP_SLICE_S = 5.340e-06   # per A-nonzero (one B-row slice gather each)
-_SP_PRODUCT_S = 2.535e-08 # per explicit ⊗ product merged
-
-
-def sparse_cost(spec: LaunchSpec) -> float:
-    """Gustavson spGEMM: compress, row loop, slice gathers, merge."""
-    scanned = spec.m * spec.k + spec.k * spec.n + spec.output
-    nnz_a = spec.m * spec.k * spec.density_a
-    products = spec.pairs * spec.density_a * spec.density_b
+def _sparse_terms(spec: LaunchSpec) -> tuple[float, ...]:
+    m, n, k = spec.m, spec.n, spec.k
+    nnz_a = m * k * spec.density_a
+    products = nnz_a * n * spec.density_b
     return (
-        _SP_SCAN_S * scanned
-        + _SP_ROW_S * spec.m
-        + _SP_SLICE_S * nnz_a
-        + _SP_PRODUCT_S * products
+        1.0,
+        float(m * k + k * n + m * n),
+        m * (1.0 - (1.0 - spec.density_a) ** k),
+        nnz_a,
+        products,
+        products * (1.0 - spec.density_b),
     )
 
 
-_EMU_SETUP_S = 5.0e-04  # device + panel staging
-_EMU_PAIR_S = 3.0e-08   # per pair: tile-by-tile warp-program replay
+def _emulate_terms(spec: LaunchSpec) -> tuple[float, ...]:
+    tiles_m, tiles_n, tiles_k = _padded_tiles(spec)
+    return (1.0, float(tiles_m * tiles_n), float(tiles_m * tiles_n * tiles_k))
 
 
-def emulate_cost(spec: LaunchSpec) -> float:
-    """Instruction-level emulation: an order of magnitude off the pace."""
-    return _EMU_SETUP_S + _EMU_PAIR_S * spec.pairs
+_Counter = Callable[[LaunchSpec], tuple[float, ...]]
 
-
-_ESTIMATORS: dict[str, Callable[[LaunchSpec], float]] = {
-    "vectorized": vectorized_cost,
-    "sparse": sparse_cost,
-    "emulate": emulate_cost,
+#: Per backend: the names of the counts its price is linear in, in the
+#: order the fitted coefficients are stored, and the function counting them.
+_TERMS: dict[str, tuple[tuple[str, ...], _Counter]] = {
+    "vectorized": (
+        ("launch", "a_entry", "b_entry", "output",
+         "pair_reduce", "pair_stream", "pair_unbuffered"),
+        _vectorized_terms,
+    ),
+    "sparse": (
+        ("launch", "entry", "row", "slice", "product", "scattered"),
+        _sparse_terms,
+    ),
+    "emulate": (("launch", "tile", "tile_step"), _emulate_terms),
 }
+
+#: Term names per backend, in the order :func:`terms` returns them.
+TERMS: dict[str, tuple[str, ...]] = {
+    backend: names for backend, (names, _) in _TERMS.items()
+}
+
+
+def terms(backend: str, spec: LaunchSpec) -> tuple[float, ...]:
+    """The counts ``backend``'s price of ``spec`` is linear in.
+
+    One value per name in ``TERMS[backend]``; a price is their dot
+    product with the fitted coefficients.
+    """
+    return _TERMS[backend][1](spec)
 
 
 def estimate(backend: str, spec: LaunchSpec) -> float:
     """Seconds the named backend is expected to spend on ``spec``.
 
-    Unknown backends price at :data:`UNKNOWN_COST_S` — they stay
-    dispatchable but rank behind every calibrated backend until the
+    Unfitted backends and rings price at :data:`UNKNOWN_COST_S` — they
+    stay dispatchable but rank behind every calibrated backend until the
     autotune table observes them.
     """
-    fn = _ESTIMATORS.get(backend)
-    if fn is None:
+    coefficients = COEFFICIENTS.get(backend, {}).get(spec.ring)
+    if coefficients is None:
         return UNKNOWN_COST_S
-    return float(fn(spec))
+    return float(sum(c * t for c, t in zip(coefficients, terms(backend, spec))))

@@ -9,7 +9,7 @@ import pytest
 
 from repro.backends import capabilities_of, get_backend, list_backends
 from repro.core import SEMIRINGS
-from repro.plan import AutotuneTable, Planner
+from repro.plan import AutotuneTable, Planner, crossover_density
 from repro.runtime.closure import closure
 from repro.runtime.context import ExecutionContext
 from repro.runtime.kernels import mmo_tiled
@@ -96,13 +96,15 @@ class TestReplanOnDensityDrift:
         # off-diagonal band), but repeated squaring fills the upper
         # triangle — density crosses the predicted crossover and the
         # per-iteration re-planning must migrate sparse → vectorized.
-        n = 128
+        n = 256
         inf = np.inf
         d0 = np.full((n, n), inf)
         np.fill_diagonal(d0, 0.0)
         for i in range(n - 1):
             d0[i, i + 1] = 1.0
-        assert estimate_density(d0, "min-plus") < 0.02
+        assert estimate_density(d0, "min-plus") < crossover_density(
+            n, ring="min-plus"
+        )
 
         trace = Trace()
         ctx = ExecutionContext(
@@ -131,7 +133,7 @@ class TestProbeAtTheSeam:
         # observed, later launches settle empirically with no more probes.
         n = 192
         ring = SEMIRINGS["min-plus"]
-        d = 0.045  # crossover_density(192) ≈ 0.0415: a genuine model tie
+        d = crossover_density(n, ring="min-plus")  # a genuine model tie
         a = _ring_operands(ring, n, rng, density=d)
         table = AutotuneTable()
         trace = Trace()

@@ -3,8 +3,13 @@ bounded exploration, and the Fig-14 crossover predictions."""
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
+from repro.backends.sparse import absorbing_rings
+from repro.compile.lower import resolve_opcode
 from repro.plan import (
     MODEL_ERROR_BAND,
     REPROBE_OBSERVATIONS,
@@ -15,11 +20,39 @@ from repro.plan import (
     crossover_density,
     planner_order,
 )
+from repro.timing.backend_cost import LaunchSpec, estimate
 
 
 @pytest.fixture
 def planner():
     return Planner(AutotuneTable())  # isolated table: always cold
+
+
+_SWEEP = Path(__file__).resolve().parents[2] / "tools" / "backend_cost_sweep.json"
+
+#: A 192³ min-plus launch at its modelled crossover density: the two model
+#: prices tie, so the planner's exploration band is in play.
+TIE_N = 192
+TIE_DENSITY = crossover_density(TIE_N, ring="min-plus")
+
+
+def _tie_model_price(backend: str) -> float:
+    return estimate(
+        backend,
+        LaunchSpec("min-plus", TIE_N, TIE_N, TIE_N,
+                   density_a=TIE_DENSITY, density_b=TIE_DENSITY),
+    )
+
+
+def _record_tie(table: AutotuneTable, backend: str, wall_time_s: float) -> None:
+    table.record(backend, "MINPLUS", m=TIE_N, n=TIE_N, k=TIE_N,
+                 density_a=TIE_DENSITY, density_b=TIE_DENSITY,
+                 wall_time_s=wall_time_s)
+
+
+def _plan_tie(planner: Planner) -> DispatchPlan:
+    return planner.plan("min-plus", TIE_N, TIE_N, TIE_N,
+                        density_a=TIE_DENSITY, density_b=TIE_DENSITY)
 
 
 class TestColdChoices:
@@ -39,8 +72,9 @@ class TestColdChoices:
             assert plan.best.backend == "sparse"
 
     def test_small_launches_stay_vectorized_even_when_sparse(self, planner):
-        # At n=64 the spGEMM per-row overheads dominate at every density
-        # on this substrate (measured: no crossover exists).
+        # At n=64 spGEMM's per-launch and per-row overheads outweigh the
+        # dense pass at all but the sparsest operands.
+        assert crossover_density(64, ring="min-plus") < 0.01
         plan = planner.plan("min-plus", 64, 64, 64, density_a=0.01, density_b=0.01)
         assert plan.best.backend == "vectorized"
 
@@ -82,9 +116,12 @@ class TestRefinement:
         table = AutotuneTable()
         # Claim sparse is (implausibly) fast on a dense 128³ launch; with
         # vectorized also observed often enough to be trusted, the
-        # empirical ranking must flip.
+        # empirical ranking must flip.  Emulate is observed too: its model
+        # price ties sparse's, which would fund a promotion probe.
         table.record("sparse", "MINPLUS", m=128, n=128, k=128,
                      density_a=1.0, density_b=1.0, wall_time_s=1e-6)
+        table.record("emulate", "MINPLUS", m=128, n=128, k=128,
+                     density_a=1.0, density_b=1.0, wall_time_s=1.0)
         for _ in range(REPROBE_OBSERVATIONS):
             table.record("vectorized", "MINPLUS", m=128, n=128, k=128,
                          density_a=1.0, density_b=1.0, wall_time_s=1e-3)
@@ -97,17 +134,11 @@ class TestRefinement:
         table = AutotuneTable()
         # Observe only vectorized; sparse's model estimate at this point
         # sits within the error band, so the planner spends one probe.
-        plan_cold = Planner(AutotuneTable()).plan(
-            "min-plus", 192, 192, 192, density_a=0.05, density_b=0.05
-        )
+        plan_cold = _plan_tie(Planner(AutotuneTable()))
         costs = {c.backend: c.cost_s for c in plan_cold.candidates}
         assert costs["sparse"] <= MODEL_ERROR_BAND * costs["vectorized"]
-        table.record("vectorized", "MINPLUS", m=192, n=192, k=192,
-                     density_a=0.05, density_b=0.05,
-                     wall_time_s=costs["vectorized"])
-        plan = Planner(table).plan(
-            "min-plus", 192, 192, 192, density_a=0.05, density_b=0.05
-        )
+        _record_tie(table, "vectorized", costs["vectorized"])
+        plan = _plan_tie(Planner(table))
         assert plan.probe
         assert plan.best.backend == "sparse"
         assert plan.best.source == "model"
@@ -126,16 +157,15 @@ class TestRefinement:
         table = AutotuneTable()
         # Observe vectorized at its own model price, so sparse's model
         # estimate stays inside the exploration band.
-        table.record("vectorized", "MINPLUS", m=192, n=192, k=192,
-                     density_a=0.05, density_b=0.05, wall_time_s=0.0118)
+        vectorized_s = _tie_model_price("vectorized")
+        _record_tie(table, "vectorized", vectorized_s)
         p = Planner(table)
-        first = p.plan("min-plus", 192, 192, 192, density_a=0.05, density_b=0.05)
+        first = _plan_tie(p)
         assert first.probe
         # Once the probed backend has its own observation the ranking is
         # purely empirical: no further probes in this bucket.
-        table.record(first.best.backend, "MINPLUS", m=192, n=192, k=192,
-                     density_a=0.05, density_b=0.05, wall_time_s=0.05)
-        second = p.plan("min-plus", 192, 192, 192, density_a=0.05, density_b=0.05)
+        _record_tie(table, first.best.backend, 4 * vectorized_s)
+        second = _plan_tie(p)
         assert not second.probe
         assert second.best.backend == "vectorized"
 
@@ -145,20 +175,21 @@ class TestRefinement:
         # fresh bucket at dense 256³, after which emulate's honest time
         # wins the empirical ranking.  The model prefers vectorized far
         # beyond the band, so the planner spends a re-probe on it instead
-        # of exploiting the poisoned table forever.
-        table.record("vectorized", "MINPLUS", m=256, n=256, k=256,
+        # of exploiting the poisoned table forever.  (Min-mul has no
+        # sparse candidate, whose model price would tie emulate's.)
+        table.record("vectorized", "MINMUL", m=256, n=256, k=256,
                      density_a=1.0, density_b=1.0, wall_time_s=0.72)
-        table.record("emulate", "MINPLUS", m=256, n=256, k=256,
+        table.record("emulate", "MINMUL", m=256, n=256, k=256,
                      density_a=1.0, density_b=1.0, wall_time_s=0.46)
         p = Planner(table)
-        plan = p.plan("min-plus", 256, 256, 256)
+        plan = p.plan("min-mul", 256, 256, 256)
         assert plan.probe
         assert plan.best.backend == "vectorized"
         assert plan.best.source == "observed"
         # The re-probe's honest measurement clears the poison.
-        table.record("vectorized", "MINPLUS", m=256, n=256, k=256,
+        table.record("vectorized", "MINMUL", m=256, n=256, k=256,
                      density_a=1.0, density_b=1.0, wall_time_s=0.04)
-        healed = p.plan("min-plus", 256, 256, 256)
+        healed = p.plan("min-mul", 256, 256, 256)
         assert healed.best.backend == "vectorized"
 
     def test_reprobe_suspicion_extinguishes_at_the_cap(self):
@@ -166,24 +197,21 @@ class TestRefinement:
         # The model is simply wrong here: vectorized genuinely lost.
         # After REPROBE_OBSERVATIONS consistent samples the loss is
         # trusted and the planner stops paying for re-measurement.
-        table.record("emulate", "MINPLUS", m=256, n=256, k=256,
+        table.record("emulate", "MINMUL", m=256, n=256, k=256,
                      density_a=1.0, density_b=1.0, wall_time_s=0.46)
         p = Planner(table)
         for _ in range(REPROBE_OBSERVATIONS):
-            plan = p.plan("min-plus", 256, 256, 256)
-            table.record(plan.best.backend, "MINPLUS", m=256, n=256, k=256,
+            plan = p.plan("min-mul", 256, 256, 256)
+            table.record(plan.best.backend, "MINMUL", m=256, n=256, k=256,
                          density_a=1.0, density_b=1.0, wall_time_s=0.72)
-        settled = p.plan("min-plus", 256, 256, 256)
+        settled = p.plan("min-mul", 256, 256, 256)
         assert not settled.probe
         assert settled.best.backend == "emulate"
 
     def test_margin_one_disables_probing(self):
         table = AutotuneTable()
-        table.record("vectorized", "MINPLUS", m=192, n=192, k=192,
-                     density_a=0.05, density_b=0.05, wall_time_s=1e-3)
-        plan = Planner(table, margin=1.0).plan(
-            "min-plus", 192, 192, 192, density_a=0.05, density_b=0.05
-        )
+        _record_tie(table, "vectorized", 1e-3)
+        plan = _plan_tie(Planner(table, margin=1.0))
         assert not plan.probe
 
     def test_bad_margin_rejected(self):
@@ -193,18 +221,85 @@ class TestRefinement:
 
 class TestCrossoverDensity:
     def test_no_crossover_at_small_n(self):
-        assert crossover_density(64) == 0.0
+        # A one-tile launch: spGEMM's fixed costs exceed the whole dense
+        # pass even on an empty operand.
+        empty = LaunchSpec("min-plus", 16, 16, 16, density_a=0.0, density_b=0.0)
+        assert estimate("sparse", empty) > estimate("vectorized", empty)
+        assert crossover_density(16, ring="min-plus") == 0.0
 
-    def test_crossover_monotone_in_n(self):
-        points = [crossover_density(n) for n in (128, 192, 256, 384)]
-        assert all(0.0 < d < 1.0 for d in points)
-        assert points == sorted(points)
+    @pytest.mark.parametrize("ring", sorted(absorbing_rings()))
+    @pytest.mark.parametrize("n", [64, 128, 192, 256, 384, 1024])
+    def test_crossover_separates_the_cold_choices(self, planner, ring, n):
+        crossover = crossover_density(n, ring=ring)
+        assert 0.0 < crossover < 1.0
+        below = planner.plan(ring, n, n, n, density_a=crossover / 2,
+                             density_b=crossover / 2)
+        above = planner.plan(ring, n, n, n, density_a=2 * crossover,
+                             density_b=2 * crossover)
+        assert below.best.backend == "sparse"
+        assert above.best.backend == "vectorized"
 
     def test_crossover_region_matches_substrate_measurements(self):
-        # Measured on the development container: d* ≈ 0.02 at n=128,
-        # ≈ 0.07 at n=256 (see repro/timing/backend_cost.py).
-        assert 0.005 < crossover_density(128) < 0.06
-        assert 0.03 < crossover_density(256) < 0.15
+        # On every launch of the committed cost sweep, the side of the
+        # modelled crossover a density falls on names a backend measured
+        # within the model's error band of the other one.
+        with open(_SWEEP, encoding="utf-8") as fh:
+            records = json.load(fh)["records"]
+        dense = {
+            (r["ring"], r["m"], r["n"], r["k"]): r["seconds"]
+            for r in records
+            if r["backend"] == "vectorized"
+        }
+        checked = 0
+        for r in records:
+            key = (r["ring"], r["m"], r["n"], r["k"])
+            if r["backend"] != "sparse" or key not in dense:
+                continue
+            sparse_s, dense_s = r["seconds"], dense[key]
+            if r["density"] < crossover_density(r["m"], ring=r["ring"]):
+                assert sparse_s <= MODEL_ERROR_BAND * dense_s, r
+            else:
+                assert dense_s <= MODEL_ERROR_BAND * sparse_s, r
+            checked += 1
+        assert checked > 100
+
+    def test_crossover_is_per_ring(self):
+        # Or-and's dense pass is several times cheaper than min-plus's, so
+        # spGEMM must be sparser to beat it.
+        assert crossover_density(1024, ring="or-and") < crossover_density(
+            1024, ring="min-plus"
+        )
+
+
+class TestFittedDecisions:
+    """Model-only decisions the fitted prices must get right (no timing)."""
+
+    @pytest.mark.parametrize("has_accumulator", [False, True])
+    @pytest.mark.parametrize("factor", [1.0, 2.0, 5.0])
+    def test_a_slow_observation_never_moves_a_tiny_launch_to_emulate(
+        self, has_accumulator, factor
+    ):
+        # A 1×24×70 plus-mul launch: one vectorized observation up to 5x
+        # its fitted price still undercuts emulate's price.
+        m, k, n = 1, 24, 70
+        spec = LaunchSpec("plus-mul", m, n, k, has_accumulator=has_accumulator)
+        table = AutotuneTable()
+        table.record("vectorized", resolve_opcode("plus-mul").name, m=m, n=n, k=k,
+                     wall_time_s=factor * estimate("vectorized", spec))
+        plan = Planner(table).plan("plus-mul", m, n, k,
+                                   has_accumulator=has_accumulator)
+        assert plan.best.backend != "emulate"
+        assert estimate("emulate", spec) > 5 * estimate("vectorized", spec)
+
+    @pytest.mark.parametrize(
+        "density,backend", [(0.004, "sparse"), (0.19, "vectorized")]
+    )
+    def test_gtc_squarings(self, planner, density, backend):
+        # GTC's Leyzorek squarings of a 1024-vertex graph: a 0.004-dense
+        # iterate goes to spGEMM, a 0.19-dense one to the dense kernel.
+        plan = planner.plan("or-and", 1024, 1024, 1024, has_accumulator=True,
+                            density_a=density, density_b=density)
+        assert plan.best.backend == backend
 
 
 class TestPlannerOrder:
