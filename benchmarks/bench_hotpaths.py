@@ -15,10 +15,11 @@ top-k selection ``repro.apps.knn.select_k_smallest`` is gated the same way
 against a frozen copy of the stable-argsort selection it replaced
 (:func:`_argsort_select`): equal results and at least ``TOPK_MIN_SPEEDUP``
 times faster on a tie-heavy 1024² matrix, plus a 4096² ``knn_wide``-shaped
-distance matrix with ``--full``.  The kernel's per-ring choice of ufunc
-buffer is gated against a frozen copy of the streaming kernel on NumPy's
-default buffer (:func:`_default_buffer_mmo`), on the 768×64×768 launches
-of ``RING_BUFFER_GATES``: equal bits and at least each case's speedup.
+distance matrix with ``--full``.  The kernel's per-ring loop is gated
+against a frozen copy of the streaming kernel on NumPy's default buffer
+(:func:`_default_buffer_mmo`) on the launches of ``RING_BUFFER_GATES``:
+the row-sized ufunc buffer of min-plus and plus-norm, and or-and's packed
+pass.  Each case needs equal bits and at least its speedup.
 
 Usage::
 
@@ -64,15 +65,19 @@ TOPK_MIN_SPEEDUP = 3.0
 #: Neighbours per query in the top-k gate, as in the ``knn_wide`` workload.
 TOPK_K = 16
 
-#: ``(ring, with C, minimum speedup)`` of ``repro.core.ops.mmo`` over
-#: :func:`_default_buffer_mmo` on an ``RING_BUFFER_SHAPE`` launch.  Min-plus
-#: with C is ``apsp_dense``'s rank-64 update.  Or-and keeps NumPy's default
-#: buffer, so its bound only catches a move onto the row buffer (about 0.13x).
-RING_BUFFER_SHAPE = (768, 64, 768)
+#: ``(ring, with C, minimum speedup, (m, k, n), density)`` of
+#: ``repro.core.ops.mmo`` over :func:`_default_buffer_mmo`.  Min-plus with C
+#: is ``apsp_dense``'s rank-64 update.  Or-and runs on packed words, so its
+#: two cases time that pass against the frozen ``bool`` streaming loop: a
+#: 0.1-dense rank-64 launch, and a 0.93-dense 768³ one (GTC's last
+#: squarings are that dense).  The density is the share of true entries of
+#: the boolean operands; the numeric rings' operands hold a sentinel in
+#: half their entries.
 RING_BUFFER_GATES = (
-    ("min-plus", True, 1.5),
-    ("plus-norm", False, 1.3),
-    ("or-and", True, 0.8),
+    ("min-plus", True, 1.5, (768, 64, 768), None),
+    ("plus-norm", False, 1.3, (768, 64, 768), None),
+    ("or-and", True, 3.0, (768, 64, 768), 0.1),
+    ("or-and", True, 2.0, (768, 768, 768), 0.93),
 )
 
 
@@ -163,17 +168,18 @@ def _default_buffer_mmo(ring, a, b, c=None):
     return out
 
 
-def _ring_buffer_inputs(ring, with_c):
+def _ring_buffer_inputs(ring, with_c, shape, density):
     """Integer weights, with ±inf "no edge" entries on the min/max rings
-    and zeros on plus-norm; fp32 C."""
-    m, k, n = RING_BUFFER_SHAPE
+    and zeros on plus-norm; fp32 C.  Boolean operands are true at
+    ``density``."""
+    m, k, n = shape
     rng = np.random.default_rng(13)
     ring = get_semiring(ring)
     if ring.is_boolean():
-        a, b, c = rng.random((m, k)) < 0.1, rng.random((k, n)) < 0.1, rng.random((m, n)) < 0.1
+        a, b, c = (rng.random(size) < density for size in ((m, k), (k, n), (m, n)))
     else:
         a, b, c = (
-            rng.integers(0, 9, shape).astype(np.float32) for shape in ((m, k), (k, n), (m, n))
+            rng.integers(0, 9, size).astype(np.float32) for size in ((m, k), (k, n), (m, n))
         )
         sentinel = ring.oplus_identity if np.isinf(ring.oplus_identity) else 0.0
         a[rng.random((m, k)) < 0.5] = sentinel
@@ -188,8 +194,8 @@ def bench_ring_buffers(*, repeats: int) -> list[dict]:
     bit mismatch or a speedup below a case's bound.
     """
     gates = []
-    for name, with_c, bound in RING_BUFFER_GATES:
-        a, b, c = _ring_buffer_inputs(name, with_c)
+    for name, with_c, bound, shape, density in RING_BUFFER_GATES:
+        a, b, c = _ring_buffer_inputs(name, with_c, shape, density)
         frozen, kernel = _default_buffer_mmo(name, a, b, c), core_ops.mmo(name, a, b, c)
         if not np.array_equal(frozen.view(np.uint8), kernel.view(np.uint8)):
             raise SystemExit(f"ring buffer {name}: mmo result != default-buffer result")
@@ -200,7 +206,9 @@ def bench_ring_buffers(*, repeats: int) -> list[dict]:
         )
         speedup = frozen_s / kernel_s
         label = f"{name}{' with C' if with_c else ''}"
-        print(f"buffer  {'×'.join(map(str, RING_BUFFER_SHAPE))} {label:15s} "
+        if density is not None:
+            label += f" d={density}"
+        print(f"buffer  {'×'.join(map(str, shape)):11s} {label:20s} "
               f"default {frozen_s * 1e3:7.2f}ms  "
               f"mmo {kernel_s * 1e3:7.2f}ms  (speedup {speedup:4.2f}x, "
               f"need >= {bound}x, bit-identical)")
@@ -210,7 +218,7 @@ def bench_ring_buffers(*, repeats: int) -> list[dict]:
                 f"default-buffer kernel, below the {bound}x gate"
             )
         gates.append({
-            "ring": name, "shape": list(RING_BUFFER_SHAPE), "with_c": with_c,
+            "ring": name, "shape": list(shape), "density": density, "with_c": with_c,
             "default_buffer_s": frozen_s, "mmo_s": kernel_s,
             "speedup": round(speedup, 2), "min_speedup": bound,
         })

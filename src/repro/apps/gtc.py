@@ -69,10 +69,11 @@ def gtc_simd2(
     """SIMD² GTC: or-and closure of the reflexive adjacency matrix.
 
     Unlike the other closure apps, GTC defaults to the paper's Leyzorek
-    loop, the schedule of the paper's GTC: under ``backend="auto"`` each
-    squaring is planned on its own, so the sparse early iterates go to
-    spGEMM and the dense later ones to the dense kernel.  Pass
-    ``method="blocked"`` for the tiled schedule.
+    loop, the schedule of the paper's GTC.  Under ``backend="auto"`` each
+    squaring is planned on its own; the dense kernel's packed or-and pass
+    beats spGEMM at every density on this substrate, so every iterate,
+    sparse or dense, runs on it.  Pass ``method="blocked"`` for the tiled
+    schedule.
     """
     adjacency = _validate_boolean(adjacency).copy()
     np.fill_diagonal(adjacency, True)  # reflexive closure, as the paper's GTC

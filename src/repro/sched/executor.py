@@ -8,7 +8,8 @@ The :class:`Scheduler` protocol has one method — ``run(graph, context=)``
   points had before graphs existed, and the default
   (:func:`resolve_scheduler` returns a shared instance when the context
   carries no scheduler).
-- :class:`ThreadPoolExecutor` runs the launches on a worker pool.  No
+- :class:`ThreadPoolExecutor` runs the launches on a worker pool that it
+  starts on its first run and keeps for later ones.  No
   launch reads another's output, and results stay bit-identical to
   serial on every ring because nothing that matters depends on the
   schedule: outputs come back in launch order, the entry point combines
@@ -329,17 +330,33 @@ class ThreadPoolExecutor:
     Every launch is submitted in index order, and each worker checks the
     context's stop conditions before it starts its launch, so once a
     cancellation or deadline trips no pending launch starts.  A failed
-    launch stops nothing: once the pool has drained, the error of the
-    smallest failed index propagates — the one
+    launch stops nothing: once every launch of the graph has finished,
+    the error of the smallest failed index propagates — the one
     :class:`SerialExecutor` would have hit first — so the observable
     behaviour (result bytes, fault injections, which error surfaces)
     matches the serial run on every graph the builders produce.
+
+    The worker pool starts on the first run and serves every later one,
+    so a closure's graphs do not each pay for starting and joining
+    threads.  Its idle workers exit once the executor is garbage
+    collected.  A launch must not run a graph on the executor that runs
+    it: that graph could wait for workers that are all busy waiting.
     """
 
     def __init__(self, max_workers: int = 4):
         if max_workers <= 0:
             raise GraphError(f"max_workers must be positive, got {max_workers}")
         self.max_workers = max_workers
+        self._pool: concurrent.futures.ThreadPoolExecutor | None = None
+        self._pool_lock = threading.Lock()
+
+    def _workers(self) -> concurrent.futures.ThreadPoolExecutor:
+        with self._pool_lock:
+            if self._pool is None:
+                self._pool = concurrent.futures.ThreadPoolExecutor(
+                    max_workers=self.max_workers
+                )
+            return self._pool
 
     def run(
         self, graph: LaunchGraph, *, context: "ExecutionContext"
@@ -355,10 +372,9 @@ class ThreadPoolExecutor:
                 launched = _run_launch(node, context)
             return launched
 
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=self.max_workers
-        ) as pool:
-            futures = [pool.submit(work, node) for node in graph.nodes]
+        pool = self._workers()
+        futures = [pool.submit(work, node) for node in graph.nodes]
+        concurrent.futures.wait(futures)
         outputs: list[np.ndarray] = []
         launch_stats: list[KernelStats] = []
         completed: list[int] = []

@@ -2,12 +2,13 @@
 
 The paper's GTC baseline (cuBool) stores boolean matrices one bit per
 element and multiplies them with word-wide AND/popcount-free OR logic.
-:class:`BitMatrix` reimplements that representation from scratch: rows
-packed into 64-bit words, with
+:class:`BitMatrix` holds that representation: rows packed into 64-bit
+words in the layout of :func:`repro.core.ops.pack_rows`, with
 
-- word-parallel ``multiply`` (or-and matrix product): for each set bit
-  ``(i, k)``, OR row ``k`` of B into row ``i`` of the result — 64 columns
-  per word operation,
+- word-parallel ``multiply`` (or-and matrix product): row ``i`` of the
+  result ORs the rows of B at the set bits of row ``i`` of A, 64 columns
+  per word operation — the packed pass :func:`repro.core.ops.mmo` runs
+  for or-and (:func:`repro.core.ops.or_and_words`),
 - ``transitive_closure`` by repeated squaring with a convergence check,
 - exact equivalence to the dense or-and semiring (tested), while using
   1/8th of `b8` storage.
@@ -24,6 +25,7 @@ import math
 
 import numpy as np
 
+from repro.core.ops import or_and_words, pack_rows, unpack_rows
 from repro.sparse.csr import SparseError
 
 __all__ = ["BitMatrix"]
@@ -62,26 +64,10 @@ class BitMatrix:
             raise SparseError(f"expected a 2-D matrix, got shape {dense.shape}")
         if dense.dtype != np.dtype(bool):
             raise SparseError(f"expected a boolean matrix, got dtype {dense.dtype}")
-        rows, cols = dense.shape
-        num_words = math.ceil(cols / _WORD) if cols else 0
-        words = np.zeros((rows, num_words), dtype=np.uint64)
-        for w in range(num_words):
-            chunk = dense[:, w * _WORD : (w + 1) * _WORD]
-            weights = (np.uint64(1) << np.arange(chunk.shape[1], dtype=np.uint64))
-            words[:, w] = (chunk.astype(np.uint64) * weights[None, :]).sum(axis=1)
-        return cls(shape=dense.shape, words=words)
+        return cls(shape=dense.shape, words=pack_rows(dense))
 
     def to_dense(self) -> np.ndarray:
-        rows, cols = self.shape
-        out = np.zeros((rows, cols), dtype=bool)
-        for w in range(self.words.shape[1]):
-            width = min(_WORD, cols - w * _WORD)
-            bits = (
-                self.words[:, w : w + 1]
-                >> np.arange(width, dtype=np.uint64)[None, :]
-            ) & np.uint64(1)
-            out[:, w * _WORD : w * _WORD + width] = bits.astype(bool)
-        return out
+        return unpack_rows(self.words, self.shape[1])
 
     # ------------------------------------------------------------------
     @property
@@ -106,18 +92,8 @@ class BitMatrix:
             raise SparseError(
                 f"inner dimensions differ: {self.shape} x {other.shape}"
             )
-        rows = self.shape[0]
-        out = np.zeros((rows, other.words.shape[1]), dtype=np.uint64)
-        for i in range(rows):
-            row = self.words[i]
-            for w in range(row.shape[0]):
-                word = int(row[w])
-                while word:
-                    bit = word & -word
-                    k = w * _WORD + bit.bit_length() - 1
-                    out[i] |= other.words[k]
-                    word ^= bit
-        return BitMatrix(shape=(rows, other.shape[1]), words=out)
+        words = or_and_words(self.to_dense(), other.words)
+        return BitMatrix(shape=(self.shape[0], other.shape[1]), words=words)
 
     def elementwise_or(self, other: "BitMatrix") -> "BitMatrix":
         if self.shape != other.shape:

@@ -19,11 +19,14 @@ fitted for that ``(backend, ring)`` pair:
 - **vectorized** (:mod:`repro.backends.vectorized`, on the padded
   operands) — a per-launch constant, the entries of A (each quantised,
   and each one inner step of one output row: a call of the ufunc's inner
-  loop) and of B, the output entries, and the ``(i, k, j)`` pairs, split
-  by the loop :func:`repro.core.ops.kernel_loop` says
-  :func:`~repro.core.ops.mmo` runs them in: one broadcast-and-reduce, the
-  streamed rank-1 updates under NumPy's default ufunc buffer, or the same
-  updates under the row-sized buffer;
+  loop) and of B, the output entries, and the work of the loop
+  :func:`repro.core.ops.kernel_loop` says :func:`~repro.core.ops.mmo`
+  runs.  The streaming loop's is its ``(i, k, j)`` pairs, split three
+  ways: one broadcast-and-reduce, the streamed rank-1 updates under
+  NumPy's default ufunc buffer, or the same updates under the row-sized
+  buffer.  Or-and's packed loop gathers one packed B row per set bit of
+  A (``m·k·density_a``), and its price counts those rows and their 64-bit
+  words, so it grows with A's density;
 - **sparse** (:mod:`repro.backends.sparse`, Gustavson spGEMM) — a
   per-launch constant, the dense entries quantised, compressed,
   densified and ⊕-ed with C, the expected A rows the row loop touches,
@@ -123,17 +126,20 @@ def _padded_tiles(spec: LaunchSpec) -> tuple[int, int, int]:
 def _vectorized_terms(spec: LaunchSpec) -> tuple[float, ...]:
     tiles_m, tiles_n, tiles_k = _padded_tiles(spec)
     m, n, k = tiles_m * TILE, tiles_n * TILE, tiles_k * TILE
-    _, steps, unbuffered = kernel_loop(get_semiring(spec.ring), m, n, k)
+    loop = kernel_loop(get_semiring(spec.ring), m, n, k)
     pairs = float(m * n * k)
-    streamed = k > steps
+    # Padding adds no set bits; a packed B row is ceil(n / 64) words.
+    gathered = spec.m * spec.k * spec.density_a if loop == "packed" else 0.0
     return (
         1.0,
         float(m * k),
         float(k * n),
         float(m * n),
-        0.0 if streamed else pairs,
-        pairs if streamed and not unbuffered else 0.0,
-        pairs if unbuffered else 0.0,
+        pairs if loop == "reduce" else 0.0,
+        pairs if loop == "stream" else 0.0,
+        pairs if loop == "unbuffered" else 0.0,
+        gathered,
+        gathered * -(-n // 64),
     )
 
 
@@ -163,7 +169,8 @@ _Counter = Callable[[LaunchSpec], tuple[float, ...]]
 _TERMS: dict[str, tuple[tuple[str, ...], _Counter]] = {
     "vectorized": (
         ("launch", "a_entry", "b_entry", "output",
-         "pair_reduce", "pair_stream", "pair_unbuffered"),
+         "pair_reduce", "pair_stream", "pair_unbuffered",
+         "gathered_row", "gathered_word"),
         _vectorized_terms,
     ),
     "sparse": (

@@ -312,3 +312,115 @@ class TestUfuncBufferHygiene:
         assert [after for after, _ in results] == [4096, 2048, 1024, 512]
         assert all(set(seen) == {ops._ROW_BUFFER} for _, seen in results)
         assert np.getbufsize() == main
+
+
+def _assert_or_and_matches_reference(a, b, c=None):
+    """``mmo`` equals ``mmo_reference`` on or-and and leaves ``c`` unwritten."""
+    c_before = None if c is None else c.copy()
+    got = mmo("or-and", a, b, c)
+    want = mmo_reference("or-and", a, b, c)
+    assert got.dtype == np.dtype(bool) and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+    if c is not None:
+        np.testing.assert_array_equal(c, c_before)
+        assert not np.shares_memory(got, c)
+    return got
+
+
+class TestPackedOrAnd:
+    """Or-and on packed 64-bit words: the reference's bits on every operand."""
+
+    def test_or_and_takes_the_packed_loop(self):
+        assert ops.kernel_loop(SEMIRINGS["or-and"], 8, 8, 8) == "packed"
+        # The operators decide, not the name.
+        renamed = Semiring(name="reach", oplus=np.logical_or, otimes=np.logical_and,
+                           oplus_identity=False, otimes_annihilator=False,
+                           input_dtype=bool, output_dtype=bool)
+        assert ops.kernel_loop(renamed, 8, 8, 8) == "packed"
+        for name in sorted(set(SEMIRINGS) - {"or-and"}):
+            assert ops.kernel_loop(SEMIRINGS[name], 8, 8, 8) != "packed"
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("n", [1, 7, 8, 63, 64, 65, 130])
+    def test_word_boundaries(self, n, k):
+        rng = np.random.default_rng([n, k])
+        a = np.ones((1, k), dtype=bool)
+        b = rng.random((k, n)) < 0.5
+        c = rng.random((1, n)) < 0.3
+        for acc in (None, c):
+            _assert_or_and_matches_reference(a, b, acc)
+            _assert_or_and_matches_reference(~a, b, acc)
+
+    def test_empty_and_all_true_rows(self):
+        rng = np.random.default_rng(11)
+        a = rng.random((6, 70)) < 0.1
+        a[0] = False
+        a[1] = True
+        a[5] = False
+        b = rng.random((70, 130)) < 0.2
+        b[3] = True
+        b[4] = False
+        c = rng.random((6, 130)) < 0.1
+        for acc in (None, c, np.zeros_like(c), np.ones_like(c)):
+            _assert_or_and_matches_reference(a, b, acc)
+        got = mmo("or-and", a, b)
+        assert not got[0].any() and not got[5].any()  # the ⊕ identity
+        assert got[1].all()  # B's row 3 is all true
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32, np.float16])
+    def test_float_operands_quantise_to_bool(self, dtype):
+        # NaN and ±inf are true, ±0.0 is false, negative values are true.
+        rng = np.random.default_rng(12)
+        values = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, -2.5, 1.0], dtype=dtype)
+        p = [0.4, 0.3, 0.05, 0.05, 0.05, 0.1, 0.05]
+        a, b, c = (rng.choice(values, shape, p=p) for shape in ((9, 70), (70, 66), (9, 66)))
+        _assert_or_and_matches_reference(a, b)
+        _assert_or_and_matches_reference(a, b, c)
+
+    def test_int_operands(self):
+        rng = np.random.default_rng(13)
+        a, b, c = (rng.integers(-2, 3, shape) for shape in ((7, 40), (40, 70), (7, 70)))
+        _assert_or_and_matches_reference(a, b)
+        _assert_or_and_matches_reference(a.astype(np.int8), b.astype(np.uint8), c)
+
+    def test_transposed_and_strided_views(self):
+        rng = np.random.default_rng(14)
+        a = (rng.random((70, 9)) < 0.3).T  # column-major
+        b = (rng.random((140, 400)) < 0.2)[::2, 1::3]  # (70, 133), strided
+        c = (rng.random((18, 133)) < 0.2)[::2]
+        assert not (a.flags.c_contiguous or b.flags.c_contiguous or c.flags.c_contiguous)
+        _assert_or_and_matches_reference(a, b)
+        _assert_or_and_matches_reference(a, b, c)
+
+    @pytest.mark.parametrize("budget", [1, 9, 64])
+    def test_a_row_whose_gather_exceeds_the_budget_is_split(self, budget, monkeypatch):
+        # 130 columns are 3 words a row: a 9-word budget gathers 3 set bits
+        # at a time, so the dense rows run in pieces and the sparse ones
+        # share blocks.
+        monkeypatch.setattr(ops, "_BUDGET", budget)
+        rng = np.random.default_rng(budget)
+        a = rng.random((12, 50)) < 0.15
+        a[4] = True
+        b = rng.random((50, 130)) < 0.1
+        c = rng.random((12, 130)) < 0.05
+        assert a.sum(axis=1).max() > max(1, budget // 3)
+        _assert_or_and_matches_reference(a, b)
+        _assert_or_and_matches_reference(a, b, c)
+
+    def test_degenerate_shapes(self):
+        for m, k, n in [(0, 4, 5), (3, 4, 0), (3, 0, 5), (0, 0, 0)]:
+            a, b = np.ones((m, k), dtype=bool), np.ones((k, n), dtype=bool)
+            got = _assert_or_and_matches_reference(a, b, np.ones((m, n), dtype=bool))
+            assert got.all()
+            if k == 0:
+                assert not mmo("or-and", a, b).any()
+
+    def test_pack_rows_layout(self):
+        # Bit j of word w is column 64w + j; the tail past the last column
+        # stays clear.
+        bits = np.zeros((2, 70), dtype=bool)
+        bits[0, 0] = bits[0, 64] = bits[1, 69] = True
+        words = ops.pack_rows(bits)
+        assert words.shape == (2, 2)
+        assert words.tolist() == [[1, 1], [0, 1 << 5]]
+        np.testing.assert_array_equal(ops.unpack_rows(words, 70), bits)

@@ -230,32 +230,39 @@ class TestCrossoverDensity:
     @pytest.mark.parametrize("ring", sorted(absorbing_rings()))
     @pytest.mark.parametrize("n", [64, 128, 192, 256, 384, 1024])
     def test_crossover_separates_the_cold_choices(self, planner, ring, n):
+        def pick(density):
+            return planner.plan(ring, n, n, n, density_a=density,
+                                density_b=density).best.backend
+
         crossover = crossover_density(n, ring=ring)
+        if ring == "or-and":
+            # The packed dense pass beats spGEMM at every density.
+            assert crossover == 0.0
+            assert pick(0.0) == pick(0.001) == "vectorized"
+            return
         assert 0.0 < crossover < 1.0
-        below = planner.plan(ring, n, n, n, density_a=crossover / 2,
-                             density_b=crossover / 2)
-        above = planner.plan(ring, n, n, n, density_a=2 * crossover,
-                             density_b=2 * crossover)
-        assert below.best.backend == "sparse"
-        assert above.best.backend == "vectorized"
+        assert pick(crossover / 2) == "sparse"
+        assert pick(2 * crossover) == "vectorized"
 
     def test_crossover_region_matches_substrate_measurements(self):
         # On every launch of the committed cost sweep, the side of the
         # modelled crossover a density falls on names a backend measured
-        # within the model's error band of the other one.
+        # within the model's error band of the other one.  Or-and's dense
+        # pass is timed at each density, the other rings' on dense operands.
         with open(_SWEEP, encoding="utf-8") as fh:
             records = json.load(fh)["records"]
         dense = {
-            (r["ring"], r["m"], r["n"], r["k"]): r["seconds"]
+            (r["ring"], r["m"], r["n"], r["k"], r["density"]): r["seconds"]
             for r in records
             if r["backend"] == "vectorized"
         }
         checked = 0
         for r in records:
             key = (r["ring"], r["m"], r["n"], r["k"])
-            if r["backend"] != "sparse" or key not in dense:
+            dense_s = dense.get((*key, r["density"]), dense.get((*key, 1.0)))
+            if r["backend"] != "sparse" or dense_s is None:
                 continue
-            sparse_s, dense_s = r["seconds"], dense[key]
+            sparse_s = r["seconds"]
             if r["density"] < crossover_density(r["m"], ring=r["ring"]):
                 assert sparse_s <= MODEL_ERROR_BAND * dense_s, r
             else:
@@ -292,11 +299,13 @@ class TestFittedDecisions:
         assert estimate("emulate", spec) > 5 * estimate("vectorized", spec)
 
     @pytest.mark.parametrize(
-        "density,backend", [(0.004, "sparse"), (0.19, "vectorized")]
+        "density,backend",
+        [(0.004, "vectorized"), (0.02, "vectorized"), (0.19, "vectorized"),
+         (0.93, "vectorized")],
     )
     def test_gtc_squarings(self, planner, density, backend):
-        # GTC's Leyzorek squarings of a 1024-vertex graph: a 0.004-dense
-        # iterate goes to spGEMM, a 0.19-dense one to the dense kernel.
+        # GTC's Leyzorek squarings of a 1024-vertex graph: every iterate,
+        # from 0.004 dense to 0.93, goes to the packed dense kernel.
         plan = planner.plan("or-and", 1024, 1024, 1024, has_accumulator=True,
                             density_a=density, density_b=density)
         assert plan.best.backend == backend

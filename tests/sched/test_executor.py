@@ -9,6 +9,12 @@ and fault ordinals are pinned at build time, not by the schedule.
 
 from __future__ import annotations
 
+import gc
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor as Callers
+
 import numpy as np
 import pytest
 
@@ -23,6 +29,7 @@ from repro.runtime.host import HostRuntime
 from repro.runtime.kernels import mmo_tiled_split_k
 from repro.runtime.multidevice import mmo_tiled_multi_device
 from repro.sched import GraphError, ThreadPoolExecutor, resolve_scheduler
+from repro.sched import executor as executor_module
 from tests.conftest import make_ring_inputs
 
 MIN_PLUS = SEMIRINGS["min-plus"]
@@ -196,3 +203,74 @@ class TestSchedulerResolution:
     def test_worker_count_validated(self):
         with pytest.raises(GraphError, match="must be positive"):
             ThreadPoolExecutor(max_workers=0)
+
+
+class TestWorkerPool:
+    """One worker pool per executor: started once, reused, released with it."""
+
+    @pytest.fixture
+    def workers(self, monkeypatch):
+        """The threads that run each launch, in launch-start order."""
+        threads: list[threading.Thread] = []
+        real = executor_module._run_launch
+
+        def recording(node, context):
+            threads.append(threading.current_thread())
+            return real(node, context)
+
+        monkeypatch.setattr(executor_module, "_run_launch", recording)
+        return threads
+
+    @staticmethod
+    def _batched(scheduler, rng):
+        a3 = rng.integers(1, 9, (4, 16, 8)).astype(np.float64)
+        b3 = rng.integers(1, 9, (4, 8, 16)).astype(np.float64)
+        with use_context(backend="vectorized", scheduler=scheduler) as ctx:
+            return batched_mmo("min-plus", a3, b3, context=ctx)
+
+    def test_consecutive_runs_reuse_the_worker_threads(self, rng, workers):
+        scheduler = ThreadPoolExecutor(max_workers=2)
+        for _ in range(5):
+            self._batched(scheduler, rng)
+        assert len(workers) == 20
+        assert len(set(workers)) <= 2
+        assert threading.current_thread() not in workers
+
+    def test_dropped_executors_leave_no_threads_alive(self, rng, workers):
+        for _ in range(50):
+            self._batched(ThreadPoolExecutor(max_workers=2), rng)
+        gc.collect()
+        started = set(workers)
+        deadline = time.monotonic() + 10
+        for thread in started:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        assert not [thread for thread in started if thread.is_alive()]
+
+    def test_concurrent_runs_share_one_pool(self, rng, workers):
+        # Eight callers race the executor's first run under a tiny switch
+        # interval: one pool of three workers serves them all.
+        scheduler = ThreadPoolExecutor(max_workers=3)
+        inputs = [
+            (rng.integers(1, 9, (4, 16, 8)).astype(np.float64),
+             rng.integers(1, 9, (4, 8, 16)).astype(np.float64))
+            for _ in range(8)
+        ]
+
+        def solve(operands):
+            a3, b3 = operands
+            with use_context(backend="vectorized", scheduler=scheduler) as ctx:
+                return [batched_mmo("min-plus", a3, b3, context=ctx)[0] for _ in range(5)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with Callers(max_workers=8) as callers:
+                results = list(callers.map(solve, inputs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for (a3, b3), runs in zip(inputs, results):
+            want = np.stack([mmo("min-plus", a, b) for a, b in zip(a3, b3)])
+            for got in runs:
+                np.testing.assert_array_equal(got, want)
+        assert len(workers) == 8 * 5 * 4
+        assert len(set(workers)) <= 3

@@ -196,6 +196,21 @@ class TestRegistryBackendParity:
         )
 
 
+@pytest.mark.parametrize("density", [0.004, 0.19, 0.93])
+@pytest.mark.parametrize("backend", list_backends())
+def test_or_and_backends_agree_across_densities(backend, density):
+    # GTC's Leyzorek iterates span these densities; every backend, the
+    # packed dense kernel included, gives boolean matrix product's bits.
+    rng = np.random.default_rng(int(density * 1000))
+    a = rng.random((130, 150)) < density
+    b = rng.random((150, 140)) < density
+    c = rng.random((130, 140)) < density / 2
+    want = ((a.astype(np.int64) @ b.astype(np.int64)) > 0) | c
+    got, _ = mmo_tiled("or-and", a, b, c, backend=backend)
+    assert got.dtype == np.dtype(bool)
+    np.testing.assert_array_equal(got, want)
+
+
 def test_no_accumulator_launch_allocates_little_beyond_its_output():
     # Without C the vectorized launch fills its output with the ⊕ identity
     # once and returns it uncropped: no identity accumulator, no padded

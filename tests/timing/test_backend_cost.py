@@ -123,7 +123,7 @@ class TestTerms:
             ("min-plus", 16, "pair_reduce"),
             ("min-plus", 192, "pair_stream"),
             ("min-plus", 768, "pair_unbuffered"),
-            ("or-and", 768, "pair_stream"),
+            ("or-and", 768, "packed"),
             ("min-max", 1024, "pair_stream"),
         ],
     )
@@ -135,9 +135,30 @@ class TestTerms:
         pairs = float(size**3)
         for name in ("pair_reduce", "pair_stream", "pair_unbuffered"):
             assert values[name] == (pairs if name == loop else 0.0)
-        _, steps, unbuffered = kernel_loop(SEMIRINGS[ring], size, size, size)
-        assert unbuffered == (loop == "pair_unbuffered")
-        assert (size > steps) == (loop != "pair_reduce")
+        assert kernel_loop(SEMIRINGS[ring], size, size, size) == loop.removeprefix("pair_")
+
+    def test_packed_terms_count_gathered_rows_and_words(self):
+        # One packed B row per set bit of the unpadded A; a row of the
+        # padded 208-wide B is 4 words.
+        values = dict(
+            zip(TERMS["vectorized"],
+                terms("vectorized", LaunchSpec("or-and", 100, 200, 50,
+                                               density_a=0.1, density_b=0.2)))
+        )
+        assert values["gathered_row"] == pytest.approx(100 * 50 * 0.1)
+        assert values["gathered_word"] == pytest.approx(100 * 50 * 0.1 * 4)
+        for ring in sorted(set(SEMIRINGS) - {"or-and"}):
+            spec = LaunchSpec(ring, 100, 200, 50, density_a=0.1, density_b=0.2)
+            assert terms("vectorized", spec)[-2:] == (0.0, 0.0)
+
+    def test_packed_price_grows_with_the_density_of_a(self):
+        prices = [
+            estimate("vectorized", LaunchSpec("or-and", 1024, 1024, 1024,
+                                              density_a=d, density_b=d))
+            for d in (0.004, 0.02, 0.19, 0.93)
+        ]
+        assert prices == sorted(prices)
+        assert prices[-1] > 2 * prices[0]
 
     def test_dense_terms_price_the_padded_launch(self):
         padded = terms("vectorized", LaunchSpec("plus-mul", 16, 16, 16))

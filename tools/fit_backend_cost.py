@@ -3,6 +3,7 @@
 
     PYTHONPATH=src python tools/fit_backend_cost.py            # fit the committed sweep
     PYTHONPATH=src python tools/fit_backend_cost.py --measure  # re-measure it first
+    PYTHONPATH=src python tools/fit_backend_cost.py --measure --ring or-and --backend vectorized
 
 ``--measure`` times the launches of :func:`sweep` and writes them to
 ``tools/backend_cost_sweep.json``: all nine rings on ``vectorized`` at
@@ -10,7 +11,11 @@ square sizes 16–1024 and at blocked closure's rank-64 update (n×64×n) and
 row panel (64×64×n); the six rings whose ⊕ identity absorbs ⊗ on
 ``sparse`` at densities 0.001–1.0, up to ``MAX_SPARSE_PRODUCTS`` expected
 ⊗ products a launch; and every ring on ``emulate`` at shapes up to 64.
-Every launch has an accumulator, as a closure's launches do.  Each time is
+A ring whose ``vectorized`` price depends on density (or-and's packed
+loop) is also timed there at the sparse sweep's sizes and densities.
+Every launch has an accumulator, as a closure's launches do.  With
+``--ring`` or ``--backend`` only those launches are re-measured, and the
+sweep keeps every other record as it was.  Each time is
 the least ``impl.execute`` wall time (``Trace.records[i].wall_time_s``,
 the time the autotune table records) of 2–9 runs after an untimed one,
 through ``mmo_tiled`` under a static backend.  It takes about 3 minutes on
@@ -38,7 +43,7 @@ import os
 import platform
 import sys
 import time
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 import scipy
@@ -79,6 +84,12 @@ MIN_RUNS, MAX_RUNS = 2, 9
 TIMED_S = 0.6
 
 
+def _density_priced(backend: str, ring: str) -> bool:
+    """Whether ``backend``'s price of a ``ring`` launch depends on density."""
+    sparse = LaunchSpec(ring, 64, 64, 64, density_a=0.5, density_b=0.5)
+    return terms(backend, sparse) != terms(backend, LaunchSpec(ring, 64, 64, 64))
+
+
 def sweep() -> Iterator[tuple[str, str, int, int, int, float]]:
     """Every launch of the sweep: ``(backend, ring, m, n, k, density)``.
 
@@ -90,9 +101,12 @@ def sweep() -> Iterator[tuple[str, str, int, int, int, float]]:
         shapes += [(s, s, BLOCK), (BLOCK, s, BLOCK)]
     for ring in SEMIRINGS:
         sparse = "sparse" in capable_backends(ring)
+        dense_densities = DENSITIES if _density_priced("vectorized", ring) else (1.0,)
         for m, n, k in shapes:
-            yield "vectorized", ring, m, n, k, 1.0
-            if sparse and m == n == k and m in SPARSE_SIZES:
+            swept = m == n == k and m in SPARSE_SIZES
+            for density in dense_densities if swept else (1.0,):
+                yield "vectorized", ring, m, n, k, density
+            if sparse and swept:
                 for density in DENSITIES:
                     if m**3 * density**2 <= MAX_SPARSE_PRODUCTS:
                         yield "sparse", ring, m, n, k, density
@@ -126,12 +140,12 @@ def _time(backend: str, ring: str, a, b, c) -> float:
     return min(timed)
 
 
-def measure() -> dict:
-    """Time every launch of the sweep; the JSON the fit reads."""
+def measure(launches: Iterable[tuple[str, str, int, int, int, float]]) -> dict:
+    """Time each launch (of :func:`sweep`); the JSON the fit reads."""
     rng = np.random.default_rng(SWEEP_SEED)
     records = []
     started = time.perf_counter()
-    for backend, ring, m, n, k, density in sweep():
+    for backend, ring, m, n, k, density in launches:
         a = _operand(ring, m, k, density, rng)
         b = _operand(ring, k, n, density, rng)
         c = _operand(ring, m, n, density, rng)
@@ -160,6 +174,30 @@ def _dump(payload: dict) -> str:
     head = json.dumps({k: v for k, v in payload.items() if k != "records"})
     records = ",\n".join(json.dumps(record) for record in payload["records"])
     return f'{head[:-1]}, "records": [\n{records}\n]}}\n'
+
+
+def _key(record: dict) -> tuple[str, str, int, int, int, float]:
+    return tuple(record[name] for name in ("backend", "ring", "m", "n", "k", "density"))
+
+
+def _splice(payload: dict) -> dict:
+    """The committed sweep with ``payload``'s records in place of its own.
+
+    Records come in :func:`sweep` order; the committed sweep's duration
+    stays.
+    """
+    with open(SWEEP, encoding="utf-8") as fh:
+        committed = json.load(fh)
+    records = {_key(record): record for record in committed["records"]}
+    records.update((_key(record), record) for record in payload["records"])
+    missing = [launch for launch in sweep() if launch not in records]
+    if missing:
+        raise SystemExit(f"the sweep has no time for {missing[0]}: re-measure it")
+    return {
+        **payload,
+        "seconds": committed["seconds"],
+        "records": [records[launch] for launch in sweep()],
+    }
 
 
 def _spec(record: dict) -> LaunchSpec:
@@ -223,19 +261,22 @@ def residual(records: list[dict]) -> tuple[dict[str, float], float]:
 def points(records: list[dict]) -> Iterator[tuple[dict, dict[str, float]]]:
     """Each launch with the time of every backend measured at its point.
 
-    ``vectorized`` and ``emulate`` are timed on dense operands only: their
-    prices do not depend on density, so their time at a shape stands for
-    every density of a sparse launch of that shape.
+    A backend timed at the launch's shape and density stands for itself.
+    One timed at the shape on dense operands only (``emulate``, and
+    ``vectorized`` on every ring but or-and) prices the same at every
+    density, so its dense time stands for every density of that shape.
     """
-    dense = collections.defaultdict(dict)
-    for record in records:
-        if record["backend"] != "sparse":
-            key = record["ring"], record["m"], record["n"], record["k"]
-            dense[key][record["backend"]] = record["seconds"]
+    timed = collections.defaultdict(dict)
     for record in records:
         key = record["ring"], record["m"], record["n"], record["k"]
-        times = dict(dense[key])
-        times[record["backend"]] = record["seconds"]
+        timed[key][record["backend"], record["density"]] = record["seconds"]
+    for record in records:
+        at = timed[record["ring"], record["m"], record["n"], record["k"]]
+        times = {}
+        for backend, _ in at:
+            seconds = at.get((backend, record["density"]), at.get((backend, 1.0)))
+            if seconds is not None:
+                times[backend] = seconds
         yield record, times
 
 
@@ -271,12 +312,29 @@ def main(argv: list[str] | None = None) -> int:
         "--measure", action="store_true",
         help="re-measure the sweep on this host before fitting",
     )
+    parser.add_argument(
+        "--ring", action="append", choices=sorted(SEMIRINGS),
+        help="with --measure, re-measure only this ring's launches (repeatable)",
+    )
+    parser.add_argument(
+        "--backend", action="append", choices=sorted(TERMS),
+        help="with --measure, re-measure only this backend's launches (repeatable)",
+    )
     args = parser.parse_args(argv)
+    partial = bool(args.ring or args.backend)
+    if partial and not args.measure:
+        parser.error("--ring and --backend need --measure")
     if args.measure:
-        payload = measure()
+        payload = measure(
+            launch for launch in sweep()
+            if launch[0] in (args.backend or TERMS) and launch[1] in (args.ring or SEMIRINGS)
+        )
+        print(f"measured {len(payload['records'])} launches in {payload['seconds']} s")
+        if partial:
+            payload = _splice(payload)
         with open(SWEEP, "w", encoding="utf-8") as fh:
             fh.write(_dump(payload))
-        print(f"wrote {SWEEP} in {payload['seconds']} s")
+        print(f"wrote {SWEEP}")
     with open(SWEEP, encoding="utf-8") as fh:
         payload = json.load(fh)
     coefficients = fit(payload["records"])
