@@ -19,7 +19,13 @@ distance matrix with ``--full``.  The kernel's per-ring loop is gated
 against a frozen copy of the streaming kernel on NumPy's default buffer
 (:func:`_default_buffer_mmo`) on the launches of ``RING_BUFFER_GATES``:
 the row-sized ufunc buffer of min-plus and plus-norm, and or-and's packed
-pass.  Each case needs equal bits and at least its speedup.
+pass.  Each case needs equal bits and at least its speedup.  Grid-valued
+plus-norm and plus-mul launches pass the exactness certificate and run as
+one sgemm: ``CERTIFIED_GATES`` times them against the frozen streaming
+kernel under the row-sized buffer (:func:`_row_buffer_mmo`), with equal
+bits, and ``CERTIFICATE_COST_GATES`` bounds the certificate's own cost,
+paid by continuous launches that fail it, at ``CERTIFICATE_MAX_SHARE`` of
+the streaming kernel's time.
 
 Usage::
 
@@ -37,10 +43,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import sys
 import time
 from pathlib import Path
+
+# One BLAS thread, as perfbench pins it, set before NumPy loads its BLAS:
+# every other loop timed here is single-threaded, and a two-thread sgemm
+# waits on the other CPU whenever it is busy (a 768×66×768 one read
+# 12-20 ms against 0.7 ms on a shared 2-CPU VM).
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 import numpy as np
 
@@ -65,20 +79,42 @@ TOPK_MIN_SPEEDUP = 3.0
 #: Neighbours per query in the top-k gate, as in the ``knn_wide`` workload.
 TOPK_K = 16
 
-#: ``(ring, with C, minimum speedup, (m, k, n), density)`` of
+#: ``(ring, with C, minimum speedup, (m, k, n), operands)`` of
 #: ``repro.core.ops.mmo`` over :func:`_default_buffer_mmo`.  Min-plus with C
 #: is ``apsp_dense``'s rank-64 update.  Or-and runs on packed words, so its
 #: two cases time that pass against the frozen ``bool`` streaming loop: a
 #: 0.1-dense rank-64 launch, and a 0.93-dense 768³ one (GTC's last
-#: squarings are that dense).  The density is the share of true entries of
-#: the boolean operands; the numeric rings' operands hold a sentinel in
-#: half their entries.
+#: squarings are that dense).  ``operands`` is the share of true entries of
+#: the boolean operands, and ``"ints"`` or ``"uniform"`` (integer or
+#: continuous weights) for the numeric rings, whose operands hold a
+#: sentinel in half their entries.  Integer plus-norm operands pass the
+#: exactness certificate, so that row times the sgemm; the continuous one
+#: keeps the row-sized buffer gated.
 RING_BUFFER_GATES = (
-    ("min-plus", True, 1.5, (768, 64, 768), None),
-    ("plus-norm", False, 1.3, (768, 64, 768), None),
+    ("min-plus", True, 1.5, (768, 64, 768), "ints"),
+    ("plus-norm", False, 1.3, (768, 64, 768), "ints"),
+    ("plus-norm", False, 1.3, (768, 64, 768), "uniform"),
     ("or-and", True, 3.0, (768, 64, 768), 0.1),
     ("or-and", True, 2.0, (768, 768, 768), 0.93),
 )
+
+#: ``(ring, with C, minimum speedup, (m, k, n))`` of ``repro.core.ops.mmo``
+#: over :func:`_row_buffer_mmo` on operands that pass the certificate:
+#: ``knn_wide``'s 1/16-grid points, and small integers.
+CERTIFIED_GATES = (
+    ("plus-norm", False, 4.0, (1024, 48, 1024)),
+    ("plus-mul", True, 4.0, (768, 64, 768)),
+)
+
+#: ``(ring, (m, k, n))`` of continuous launches, which fail the certificate
+#: and stream: the check may cost at most ``CERTIFICATE_MAX_SHARE`` of them.
+CERTIFICATE_COST_GATES = (
+    ("plus-norm", (768, 64, 768)),
+    ("plus-mul", (768, 64, 768)),
+    ("plus-norm", (256, 256, 256)),
+    ("plus-mul", (256, 256, 256)),
+)
+CERTIFICATE_MAX_SHARE = 0.05
 
 
 def _broadcast_reduce_mmo(ring, a, b):
@@ -168,19 +204,124 @@ def _default_buffer_mmo(ring, a, b, c=None):
     return out
 
 
-def _ring_buffer_inputs(ring, with_c, shape, density):
-    """Integer weights, with ±inf "no edge" entries on the min/max rings
-    and zeros on plus-norm; fp32 C.  Boolean operands are true at
-    ``density``."""
+def _row_buffer_mmo(ring, a, b, c=None):
+    """The streaming kernel under its 256-element row buffer, frozen here:
+    what ``repro.core.ops.mmo`` ran on every plus-norm and plus-mul launch
+    at least 256 wide before the certificate."""
+    caller = np.setbufsize(256)
+    try:
+        return _default_buffer_mmo(ring, a, b, c)
+    finally:
+        np.setbufsize(caller)
+
+
+def _certified_inputs(ring, with_c, shape):
+    """``knn_wide``-style points on the 1/16 grid in [-8, 8] for plus-norm,
+    integers in [-8, 8] for plus-mul; a continuous C, which the certificate
+    does not read."""
+    m, k, n = shape
+    rng = np.random.default_rng(14)
+    if ring == "plus-norm":
+        a = uniform_points(PointCloudSpec(m, k, seed=21))
+        b = uniform_points(PointCloudSpec(n, k, seed=22)).T
+    else:
+        a, b = (rng.integers(-8, 9, size).astype(np.float32) for size in ((m, k), (k, n)))
+    c = rng.uniform(-64, 64, (m, n)).astype(np.float32) if with_c else None
+    return a, b, c
+
+
+def bench_certified(*, repeats: int) -> list[dict]:
+    """``core.ops.mmo`` vs :func:`_row_buffer_mmo` per ``CERTIFIED_GATES``.
+
+    Min-of-``repeats``, interleaved.  Returns the gate entries; exits on a
+    bit mismatch or a speedup below a case's bound.
+    """
+    gates = []
+    for name, with_c, bound, shape in CERTIFIED_GATES:
+        a, b, c = _certified_inputs(name, with_c, shape)
+        frozen, kernel = _row_buffer_mmo(name, a, b, c), core_ops.mmo(name, a, b, c)
+        if not np.array_equal(frozen.view(np.uint32), kernel.view(np.uint32)):
+            raise SystemExit(f"certified {name}: mmo result != streaming result")
+        frozen_s, kernel_s = interleaved_mins(
+            lambda: _row_buffer_mmo(name, a, b, c),
+            lambda: core_ops.mmo(name, a, b, c),
+            repeats,
+        )
+        speedup = frozen_s / kernel_s
+        label = f"{name}{' with C' if with_c else ''}"
+        print(f"exact   {'×'.join(map(str, shape)):11s} {label:24s} "
+              f"stream  {frozen_s * 1e3:7.2f}ms  "
+              f"mmo {kernel_s * 1e3:7.2f}ms  (speedup {speedup:4.2f}x, "
+              f"need >= {bound}x, bit-identical)")
+        if speedup < bound:
+            raise SystemExit(
+                f"certified {label}: mmo {speedup:.2f}x faster than the "
+                f"streaming kernel, below the {bound}x gate"
+            )
+        gates.append({
+            "ring": name, "shape": list(shape), "with_c": with_c,
+            "streaming_s": frozen_s, "mmo_s": kernel_s,
+            "speedup": round(speedup, 2), "min_speedup": bound,
+        })
+    return gates
+
+
+def bench_certificate_cost(*, repeats: int) -> list[dict]:
+    """The certificate's time over ``core.ops.mmo``'s on continuous launches
+    (``CERTIFICATE_COST_GATES``), which fail it and stream.
+
+    Min-of-``repeats``, interleaved.  Returns the gate entries; exits if a
+    launch certifies or the share exceeds ``CERTIFICATE_MAX_SHARE``.
+    """
+    gates = []
+    rng = np.random.default_rng(15)
+    for name, shape in CERTIFICATE_COST_GATES:
+        m, k, n = shape
+        ring = get_semiring(name)
+        a, b = rng.uniform(-8, 8, (m, k)), rng.uniform(-8, 8, (k, n))
+        a32 = quantize_input(a, ring).astype(np.float32)
+        b32 = quantize_input(b, ring).astype(np.float32)
+        if core_ops._certified(ring, a32, b32):
+            raise SystemExit(f"certificate {name}: continuous operands certified")
+        check_s, kernel_s = interleaved_mins(
+            lambda: core_ops._certified(ring, a32, b32),
+            lambda: core_ops.mmo(ring, a, b),
+            repeats,
+        )
+        share = check_s / kernel_s
+        print(f"check   {'×'.join(map(str, shape)):11s} {name + ' uniform':24s} "
+              f"cert    {check_s * 1e3:7.3f}ms  "
+              f"mmo {kernel_s * 1e3:7.2f}ms  (share {share:6.2%}, "
+              f"need <= {CERTIFICATE_MAX_SHARE:.0%})")
+        if share > CERTIFICATE_MAX_SHARE:
+            raise SystemExit(
+                f"certificate {name} {shape}: {share:.2%} of the streaming "
+                f"kernel, above the {CERTIFICATE_MAX_SHARE:.0%} gate"
+            )
+        gates.append({
+            "ring": name, "shape": list(shape), "certificate_s": check_s,
+            "mmo_s": kernel_s, "share": round(share, 4),
+            "max_share": CERTIFICATE_MAX_SHARE,
+        })
+    return gates
+
+
+def _ring_buffer_inputs(ring, with_c, shape, operands):
+    """Integer weights in [0, 8] (``"ints"``) or continuous ones in [0, 8)
+    (``"uniform"``), with ±inf "no edge" entries on the min/max rings and
+    zeros on plus-norm; fp32 C.  Boolean operands are true at the density
+    ``operands``."""
     m, k, n = shape
     rng = np.random.default_rng(13)
     ring = get_semiring(ring)
+    sizes = ((m, k), (k, n), (m, n))
     if ring.is_boolean():
-        a, b, c = (rng.random(size) < density for size in ((m, k), (k, n), (m, n)))
+        a, b, c = (rng.random(size) < operands for size in sizes)
     else:
-        a, b, c = (
-            rng.integers(0, 9, size).astype(np.float32) for size in ((m, k), (k, n), (m, n))
-        )
+        if operands == "uniform":
+            a, b, c = (rng.uniform(0, 8, size).astype(np.float32) for size in sizes)
+        else:
+            a, b, c = (rng.integers(0, 9, size).astype(np.float32) for size in sizes)
         sentinel = ring.oplus_identity if np.isinf(ring.oplus_identity) else 0.0
         a[rng.random((m, k)) < 0.5] = sentinel
         b[rng.random((k, n)) < 0.5] = sentinel
@@ -194,8 +335,8 @@ def bench_ring_buffers(*, repeats: int) -> list[dict]:
     bit mismatch or a speedup below a case's bound.
     """
     gates = []
-    for name, with_c, bound, shape, density in RING_BUFFER_GATES:
-        a, b, c = _ring_buffer_inputs(name, with_c, shape, density)
+    for name, with_c, bound, shape, operands in RING_BUFFER_GATES:
+        a, b, c = _ring_buffer_inputs(name, with_c, shape, operands)
         frozen, kernel = _default_buffer_mmo(name, a, b, c), core_ops.mmo(name, a, b, c)
         if not np.array_equal(frozen.view(np.uint8), kernel.view(np.uint8)):
             raise SystemExit(f"ring buffer {name}: mmo result != default-buffer result")
@@ -206,9 +347,8 @@ def bench_ring_buffers(*, repeats: int) -> list[dict]:
         )
         speedup = frozen_s / kernel_s
         label = f"{name}{' with C' if with_c else ''}"
-        if density is not None:
-            label += f" d={density}"
-        print(f"buffer  {'×'.join(map(str, shape)):11s} {label:20s} "
+        label += f" d={operands}" if isinstance(operands, float) else f" {operands}"
+        print(f"buffer  {'×'.join(map(str, shape)):11s} {label:24s} "
               f"default {frozen_s * 1e3:7.2f}ms  "
               f"mmo {kernel_s * 1e3:7.2f}ms  (speedup {speedup:4.2f}x, "
               f"need >= {bound}x, bit-identical)")
@@ -218,7 +358,7 @@ def bench_ring_buffers(*, repeats: int) -> list[dict]:
                 f"default-buffer kernel, below the {bound}x gate"
             )
         gates.append({
-            "ring": name, "shape": list(shape), "density": density, "with_c": with_c,
+            "ring": name, "shape": list(shape), "operands": operands, "with_c": with_c,
             "default_buffer_s": frozen_s, "mmo_s": kernel_s,
             "speedup": round(speedup, 2), "min_speedup": bound,
         })
@@ -377,6 +517,8 @@ def main(argv: list[str] | None = None) -> int:
     kernel_n = 2048 if args.full else 512
     kernel_speedup = bench_kernel(records, kernel_n, repeats=2 if args.full else 3)
     ring_buffer_gates = bench_ring_buffers(repeats=15 if args.full else 7)
+    certified_gates = bench_certified(repeats=15 if args.full else 7)
+    certificate_cost_gates = bench_certificate_cost(repeats=15 if args.full else 7)
     topk_points = [(1024, "tie_heavy")] + ([(4096, "knn_wide")] if args.full else [])
     topk_gate = [
         {"n": n, "inputs": shape, "k": TOPK_K,
@@ -420,6 +562,8 @@ def main(argv: list[str] | None = None) -> int:
         },
         "topk_gate": topk_gate,
         "ring_buffer_gates": ring_buffer_gates,
+        "certified_gates": certified_gates,
+        "certificate_cost_gates": certificate_cost_gates,
     }
     payload = json.dumps(artifact, indent=2)
     if args.out:

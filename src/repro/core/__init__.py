@@ -15,7 +15,7 @@ from repro.core.registry import (
     get_semiring,
     semiring_names,
 )
-from repro.core.ops import mmo, mmo_reference, gemm, squared_l2_distance
+from repro.core.ops import mmo, mmo_reference
 from repro.core.tiles import TILE, TilingError, pad_to_tiles, crop, tile_counts
 from repro.core.semimatrix import SemiringMatrix
 from repro.core.quantized import int8_variant, quantize_saturating
@@ -37,8 +37,6 @@ __all__ = [
     "semiring_names",
     "mmo",
     "mmo_reference",
-    "gemm",
-    "squared_l2_distance",
     "TILE",
     "TilingError",
     "pad_to_tiles",

@@ -49,9 +49,33 @@ bit; on a 1024³ launch with C the packed pass takes 3.8–35 ms from
 density 0.004 to 0.93, against 121–124 ms for the ``bool`` streaming loop
 (2-CPU x86 VM, NumPy 2.4).
 
-Fast paths for GEMM (``A @ B``) and squared-L2 distance (the norm-expansion
-trick) are provided separately; they may differ from the generic path in the
-last float ulp because summation order differs, exactly as library GEMMs do.
+Plus-mul and plus-norm skip the streaming loop when a certificate shows
+that no fold order can change a bit (:func:`_certified`, O(mk + kn) on
+the quantised operands).  It holds when A and B are finite, every entry
+of both is an integer on a common grid ``2**-s``, and the bound is below
+``2**24`` units of the products' grid ``2**-2s``: ``Σ_k
+max|a_k|·max|b_k|`` for plus-mul, ``Σ_k (max|a_k| + max|b_k|)²`` for
+plus-norm.  Every product, and every partial sum of them in any order or
+grouping, is then a whole number of units no larger than the bound,
+which fp32 holds exactly.  So every add and multiply is exact, and the
+reference's left-to-right fold, a BLAS sgemm's blocked one and a Tensor
+Core's unspecified one all give the same value.  One fp32 ``np.matmul``
+then writes the ``(m, n)`` output: ``A·B`` for plus-mul, and for
+plus-norm the norm expansion ``[A, ‖a_i‖², 1]·[−2B; 1; ‖b_j‖²]``, whose
+partial sums the same bound covers (``(|a| + |b|)² = a² + 2|a||b| +
+b²``).  The identity and then C are ⊕-ed in place, so C needs neither
+the grid nor the bound.  Only the sign of an exact zero could still
+depend on the order.  The reference folds from the identity, +0.0, so
+its fold is never −0.0, while an sgemm may sign an all-(−0.0) fold
+either way, which would show where C holds −0.0: ⊕-ing the identity in
+before C (the −0 rule) gives the reference's sign.  Launches that fail
+the certificate, the int8 variants and the other rings stream.  On
+``knn_wide``'s 4096×48×4096 plus-norm launch (points on a 1/16 grid in
+[−8, 8], bound 2.6 M units) the path takes 32–44 ms against 396–420 ms
+streamed, under 1 ms of it the certificate.  Continuous values sit on fp16
+grids down to ``2**-24``, so all but the shallowest continuous launches
+fail it and gain nothing (one pinned CPU of a 2-CPU x86 VM, NumPy 2.4
+with its bundled OpenBLAS).
 """
 
 from __future__ import annotations
@@ -63,13 +87,11 @@ import numpy as np
 
 from repro.core.precision import quantize_input, quantize_output
 from repro.core.semiring import Semiring, SemiringError
-from repro.core.registry import get_semiring
+from repro.core.registry import PLUS_NORM, get_semiring
 
 __all__ = [
     "mmo",
     "mmo_reference",
-    "gemm",
-    "squared_l2_distance",
     "or_and_words",
     "pack_rows",
     "unpack_rows",
@@ -89,6 +111,10 @@ _WORD = 64
 #: than one row, in place of NumPy's default (see the module docstring).
 _UNBUFFERED_WIDTH = 256
 _ROW_BUFFER = 256
+
+#: fp32 holds every integer below ``2**24`` exactly: the certificate's bound,
+#: in grid units.
+_EXACT_UNITS = 2**24
 
 
 def _validate_shapes(a: np.ndarray, b: np.ndarray, c: np.ndarray | None) -> tuple[int, int, int]:
@@ -139,7 +165,9 @@ def kernel_loop(ring: Semiring, m: int, n: int, k: int) -> str:
     the rank-1 updates run under the row-sized ufunc buffer, and
     ``"stream"`` when they run under NumPy's default.  The substrate cost
     model (:mod:`repro.timing.backend_cost`) prices each launch from this
-    same answer.
+    same answer.  The shapes decide it, not the values, so a plus-mul or
+    plus-norm launch that :func:`_certified` sends to the sgemm is priced
+    as the streaming loop it skips.
     """
     if _packs(ring):
         return "packed"
@@ -152,6 +180,92 @@ def kernel_loop(ring: Semiring, m: int, n: int, k: int) -> str:
     ):
         return "unbuffered"
     return "stream"
+
+
+def _grid_bits(x: np.ndarray) -> int:
+    """The OR of the finite fp16 values ``x`` times ``2**24``.
+
+    Each is an integer below ``2**40``, exact in fp32 and int64.  Chunks of
+    ``_BUDGET`` entries bound the temporaries.
+    """
+    flat = x.ravel(order="K")
+    bits = 0
+    for start in range(0, flat.size, _BUDGET):
+        units = (flat[start : start + _BUDGET] * 2.0**24).astype(np.int64)
+        bits |= int(np.bitwise_or.reduce(units))
+    return bits
+
+
+def _certified(ring: Semiring, a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether the launch may run as one fp32 sgemm: the module docstring's
+    certificate, in O(mk + kn).
+
+    The ring must be plus-mul or plus-norm on the fp16-in, fp32-out
+    datapath, told by its operators, not its name; ``a`` and ``b`` are the
+    quantised operands in fp32.
+    """
+    if not (
+        ring.oplus is np.add
+        and (ring.otimes is np.multiply or ring.otimes is PLUS_NORM.otimes)
+        and ring.input_dtype == np.float16
+        and ring.output_dtype == np.float32
+        and a.size
+        and b.size
+    ):
+        return False
+    # max|a_k| and max|b_k|, (k,) each; max and min propagate NaN.
+    a_max = np.maximum(a.max(axis=0), -a.min(axis=0))
+    b_max = np.maximum(b.max(axis=1), -b.min(axis=1))
+    if not (np.isfinite(a_max).all() and np.isfinite(b_max).all()):
+        return False
+    # The maxima are entries, so their grid is no finer than the common one
+    # and bounds no more units: a launch over the bound on it, as most
+    # continuous ones are, fails without the O(mk + kn) pass.
+    bits = _grid_bits(a_max) | _grid_bits(b_max)
+    if not bits:
+        return True  # every entry is 0
+    if _bound(ring, a_max, b_max, bits) >= _EXACT_UNITS:
+        return False
+    return _bound(ring, a_max, b_max, bits | _grid_bits(a) | _grid_bits(b)) < _EXACT_UNITS
+
+
+def _bound(ring: Semiring, a_max: np.ndarray, b_max: np.ndarray, bits: int) -> float:
+    """The certificate's bound, in units of the products' grid, from the grid
+    ``2**(t - 24)`` that the lowest set bit ``2**t`` of ``bits`` gives.
+
+    float64 holds every term and partial sum below ``2**53`` exactly and
+    rounds monotonically, so a bound at or over ``_EXACT_UNITS`` never
+    rounds under it.  (In int64 a product of two ``2**40`` units would
+    wrap.)
+    """
+    per_unit = 2.0**24 / (bits & -bits)  # grid units in 1.0
+    a_units = a_max.astype(np.float64) * per_unit
+    b_units = b_max.astype(np.float64) * per_unit
+    if ring.otimes is np.multiply:
+        return float(np.dot(a_units, b_units))
+    reach = a_units + b_units
+    return float(np.dot(reach, reach))
+
+
+def _sgemm(ring: Semiring, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """A certified launch's products, folded by one fp32 ``np.matmul`` into ``out``.
+
+    Plus-mul is ``A·B``.  Plus-norm is ``[A, ‖a_i‖², 1]·[−2B; 1; ‖b_j‖²]``,
+    the norm expansion ``‖a_i‖² + ‖b_j‖² − 2·a_i·b_j``.
+    """
+    if ring.otimes is np.multiply:
+        np.matmul(a, b, out=out)
+        return
+    m, k = a.shape
+    lhs = np.empty((m, k + 2), dtype=np.float32)
+    lhs[:, :k] = a
+    np.einsum("ik,ik->i", a, a, out=lhs[:, k])
+    lhs[:, k + 1] = 1.0
+    rhs = np.empty((k + 2, b.shape[1]), dtype=np.float32)
+    np.multiply(b, -2.0, out=rhs[:k])
+    rhs[k] = 1.0
+    np.einsum("kj,kj->j", b, b, out=rhs[k + 1])
+    np.matmul(lhs, rhs, out=out)
 
 
 def pack_rows(bits: np.ndarray) -> np.ndarray:
@@ -256,10 +370,21 @@ def mmo(
             ring.oplus(np.asarray(c_arr, dtype=bool), out, out=out)
         return out
 
-    # (k, m): row kk is column kk of A, contiguous for the rank-1 steps.
-    a_cols = np.ascontiguousarray(quantize_input(a, ring).astype(ring.output_dtype).T)
+    a_quant = quantize_input(a, ring).astype(ring.output_dtype)
     b_rows = quantize_input(b, ring).astype(ring.output_dtype)
     out = np.empty((m, n), dtype=ring.output_dtype)
+    if _certified(ring, a_quant, b_rows):
+        _sgemm(ring, a_quant, b_rows, out)
+        # The reference's fold starts from the identity, +0.0, so it is never
+        # -0.0, whatever sign the sgemm gives an exact zero (the -0 rule).
+        # C is ⊕-ed in last, as in the streaming loop.
+        ring.oplus(ring.oplus_identity, out, out=out)
+        if c_arr is not None:
+            ring.oplus(np.asarray(c_arr, dtype=ring.output_dtype), out, out=out)
+        return out
+
+    # (k, m): row kk is column kk of A, contiguous for the rank-1 steps.
+    a_cols = np.ascontiguousarray(a_quant.T)
     rows, steps = _blocking(m, n)
     in_place = isinstance(ring.oplus, np.ufunc)
 
@@ -325,38 +450,3 @@ def mmo_reference(
                 )
             out[i, j] = ring.oplus(acc[i, j], np.asarray(value, dtype=ring.output_dtype))
     return out
-
-
-def gemm(a: np.ndarray, b: np.ndarray, c: np.ndarray | None = None) -> np.ndarray:
-    """Mixed-precision GEMM fast path (``plus-mul`` via ``@``)."""
-    ring = get_semiring("plus-mul")
-    a32 = quantize_input(np.asarray(a), ring).astype(np.float32)
-    b32 = quantize_input(np.asarray(b), ring).astype(np.float32)
-    _validate_shapes(a32, b32, None if c is None else np.asarray(c))
-    out = a32 @ b32
-    if c is not None:
-        out = out + np.asarray(c, dtype=np.float32)
-    return out.astype(np.float32)
-
-
-def squared_l2_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise squared-L2 distances via the norm-expansion trick.
-
-    ``D[i, j] = Σ_k (A[i, k] - B[k, j])² = ‖A_i‖² + ‖B_j‖² − 2·(A@B)[i, j]``
-
-    This is the optimised formulation library baselines (and the paper's
-    KNN-CUDA baseline) use; it matches ``mmo("plus-norm", ...)`` up to fp32
-    rounding.  ``b`` is laid out like the mmo operand: shape ``(k, n)`` with
-    one point per *column*.
-    """
-    ring = get_semiring("plus-norm")
-    a32 = quantize_input(np.asarray(a), ring).astype(np.float32)
-    b32 = quantize_input(np.asarray(b), ring).astype(np.float32)
-    _validate_shapes(a32, b32, None)
-    row_norms = np.sum(a32 * a32, axis=1, keepdims=True)  # (m, 1)
-    col_norms = np.sum(b32 * b32, axis=0, keepdims=True)  # (1, n)
-    cross = a32 @ b32
-    out = row_norms + col_norms - 2.0 * cross
-    # Clamp tiny negative values produced by cancellation.
-    np.maximum(out, 0.0, out=out)
-    return out.astype(np.float32)

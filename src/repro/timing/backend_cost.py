@@ -26,7 +26,12 @@ fitted for that ``(backend, ring)`` pair:
   NumPy's default ufunc buffer, or the same updates under the row-sized
   buffer.  Or-and's packed loop gathers one packed B row per set bit of
   A (``m·k·density_a``), and its price counts those rows and their 64-bit
-  words, so it grows with A's density;
+  words, so it grows with A's density.  The price models the streaming
+  loop even where ``mmo`` skips it: a plus-mul or plus-norm launch whose
+  values pass the exactness certificate runs as one sgemm, several times
+  cheaper, but a price sees only shapes and densities.  So ``auto``
+  over-prices certified launches, and on plus-mul, which the sparse
+  backend also runs, that tilts the sparse/dense choice toward spGEMM;
 - **sparse** (:mod:`repro.backends.sparse`, Gustavson spGEMM) — a
   per-launch constant, the dense entries quantised, compressed,
   densified and ⊕-ed with C, the expected A rows the row loop touches,

@@ -1,4 +1,4 @@
-"""Tests for the whole-matrix mmo oracle and its fast paths."""
+"""Tests for the whole-matrix mmo kernel and its scalar reference."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import SEMIRINGS, Semiring, SemiringError, get_semiring, mmo, ops
-from repro.core.ops import gemm, mmo_reference, squared_l2_distance
+from repro.core.ops import mmo_reference
 from repro.core.quantized import int8_variant
 from tests.conftest import make_ring_inputs
 
@@ -98,25 +98,6 @@ class TestValidation:
         np.testing.assert_array_equal(
             mmo("min-plus", a, b, c), np.ones((2, 3), dtype=np.float32)
         )
-
-
-class TestFastPaths:
-    def test_gemm_matches_mmo(self, rng):
-        a = rng.integers(-5, 6, (8, 9)).astype(np.float64)
-        b = rng.integers(-5, 6, (9, 7)).astype(np.float64)
-        c = rng.integers(-5, 6, (8, 7)).astype(np.float64)
-        np.testing.assert_allclose(gemm(a, b, c), mmo("plus-mul", a, b, c), rtol=1e-6)
-
-    def test_squared_l2_matches_mmo(self, rng):
-        a = rng.integers(-4, 5, (6, 5)).astype(np.float64)
-        b = rng.integers(-4, 5, (5, 6)).astype(np.float64)
-        np.testing.assert_allclose(
-            squared_l2_distance(a, b), mmo("plus-norm", a, b), rtol=1e-5, atol=1e-4
-        )
-
-    def test_squared_l2_never_negative(self, rng):
-        a = rng.normal(size=(10, 8))
-        np.testing.assert_array_less(-1e-9, squared_l2_distance(a, a.T) + 1e-12)
 
 
 class TestBlockedPathConsistency:
@@ -424,3 +405,214 @@ class TestPackedOrAnd:
         assert words.shape == (2, 2)
         assert words.tolist() == [[1, 1], [0, 1 << 5]]
         np.testing.assert_array_equal(ops.unpack_rows(words, 70), bits)
+
+
+#: The rings whose launches may run as one exact sgemm.
+PLUS_RINGS = ["plus-mul", "plus-norm"]
+
+
+@pytest.fixture
+def sgemm_calls(monkeypatch):
+    """The names of the rings whose launches ran ``ops._sgemm``, in order."""
+    calls = []
+    real = ops._sgemm
+
+    def spy(ring, a, b, out):
+        calls.append(ring.name)
+        real(ring, a, b, out)
+
+    monkeypatch.setattr(ops, "_sgemm", spy)
+    return calls
+
+
+def _mmo_path(calls, ring, a, b, c=None):
+    """``mmo``'s result, and whether it ran the certified sgemm."""
+    calls.clear()
+    got = mmo(ring, a, b, c)
+    return got, bool(calls)
+
+
+def _streamed(ring, a, b, c=None):
+    """``mmo`` with the certificate refused: the streaming loop's result."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ops, "_certified", lambda *args: False)
+        return mmo(ring, a, b, c)
+
+
+def _grid_maxima(name, bound):
+    """Per-step maxima ``(ua_k, ub_k)``, in grid units, whose bound is ``bound``.
+
+    Plus-mul: ``Σ ua·ub == bound``; plus-norm: ``Σ (ua + ub)² == bound``.
+    Every unit is a whole number up to 2048, so fp16 holds it on any
+    power-of-two grid, and an odd one occurs, so the grid is no coarser.
+    """
+    pairs = []
+    if name == "plus-mul":
+        while bound >= 2047**2:
+            pairs.append((2047, 2047))
+            bound -= 2047**2
+        pairs += [(q, r) for q, r in ((bound // 2047, 2047), (bound % 2047, 1)) if q]
+    else:
+        while bound:  # odd reaches, each split into an odd and an even unit
+            reach = min(int(np.sqrt(bound)), 4095)
+            while reach * reach > bound or reach % 2 == 0:
+                reach -= 1
+            pairs.append((reach - reach // 2, reach // 2))
+            bound -= reach * reach
+    assert any(unit % 2 for pair in pairs for unit in pair)
+    return pairs
+
+
+def _edge_operands(name, bound, step, half_step_in=None):
+    """A ``(2, k) × (k, 3)`` launch on the grid ``step`` whose bound is ``bound``.
+
+    Row 0 of A and column 0 of B hold the maxima, signed so that output
+    ``(0, 0)`` folds the whole bound.  ``half_step_in`` ("a" or "b") moves
+    one other entry of that operand to half the step, which halves the
+    common grid and so quadruples the bound in its units.
+    """
+    ua, ub = (np.array(units, dtype=np.float64) for units in zip(*_grid_maxima(name, bound)))
+    k = len(ua)
+    a, b = np.zeros((2, k)), np.zeros((k, 3))
+    a[0] = ua * step
+    a[1] = -ua * step
+    b[:, 0] = (ub if name == "plus-mul" else -ub) * step
+    b[:, 1] = ub * step
+    if half_step_in == "a":
+        a[1, 0] = step / 2
+    elif half_step_in == "b":
+        b[0, 2] = step / 2
+    return a, b
+
+
+def _grid_operands(name, m, k, n, seed):
+    """Certified ``A, B, C`` (``m >= 3``, ``n >= 4``).
+
+    A and B lie on a 1/4 grid in [-4, 4] and hold ±0.0.  Rows 1 and 2
+    (plus-mul) or outputs (1, 1) and (2, 2) (plus-norm) fold to zero, from
+    ±0.0 products or differences, where C holds -0.0.  C is off the grid
+    and holds ±0.0, NaN and ±inf.
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.integers(-16, 17, (m, k)) / 4
+    b = rng.integers(-16, 17, (k, n)) / 4
+    a[rng.random((m, k)) < 0.15] = -0.0
+    b[rng.random((k, n)) < 0.15] = -0.0
+    a[1] = -0.0
+    a[2, ::2] = 0.0
+    if name == "plus-norm":
+        b[:, 1] = a[1]
+        b[:, 2] = np.where(a[2] == 0, -a[2], a[2])  # the zeros' signs flipped
+    c = rng.uniform(-3, 3, (m, n))
+    c[1:3] = -0.0
+    c[1:3, ::3] = 0.0
+    c[0, :4] = [np.nan, np.inf, -np.inf, -0.0]
+    return a, b, c
+
+
+class TestCertifiedSgemm:
+    """Grid-valued plus-mul and plus-norm launches run as one fp32 sgemm,
+    with the reference's bits; every other launch streams."""
+
+    @pytest.mark.parametrize("shape", [(9, 13, 11), (3, 1, 4), (5, 40, 300)])
+    @pytest.mark.parametrize("name", PLUS_RINGS)
+    def test_matches_reference_and_streaming_bits(self, name, shape, sgemm_calls):
+        a, b, c = _grid_operands(name, *shape, seed=sum(shape))
+        ring = SEMIRINGS[name]
+        for acc in (None, c):
+            got, certified = _mmo_path(sgemm_calls, ring, a, b, acc)
+            assert certified and got.dtype == np.float32
+            _assert_bits_equal(got, mmo_reference(ring, a, b, acc))
+            _assert_bits_equal(got, _streamed(ring, a, b, acc))
+
+    @pytest.mark.parametrize("name", PLUS_RINGS)
+    def test_an_sgemm_signing_zero_folds_negative_changes_nothing(self, name, monkeypatch):
+        # The reference's fold starts at +0.0, so it is never -0.0, but an
+        # sgemm may sign an exact zero either way.  Where C holds -0.0 that
+        # sign would show: -0.0 + -0.0 is -0.0, where the reference has +0.0.
+        real = ops._sgemm
+        signed = []
+
+        def negative_zeros(ring, a, b, out):
+            real(ring, a, b, out)
+            out[out == 0] = -0.0
+            signed.append(int((out == 0).sum()))
+
+        monkeypatch.setattr(ops, "_sgemm", negative_zeros)
+        a, b, c = _grid_operands(name, 7, 10, 9, seed=5)
+        for acc in (None, c):
+            _assert_bits_equal(mmo(name, a, b, acc), mmo_reference(name, a, b, acc))
+        assert signed and min(signed) > 0
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    @pytest.mark.parametrize("name", PLUS_RINGS)
+    def test_bound_edge_on_the_grid(self, name, offset, sgemm_calls):
+        # Certified only below 2**24 units: output (0, 0) folds the whole
+        # bound, which fp32 cannot hold once it passes 2**24.
+        a, b = _edge_operands(name, ops._EXACT_UNITS + offset, step=0.25)
+        for acc in (None, np.full((2, 3), 0.5)):
+            got, certified = _mmo_path(sgemm_calls, SEMIRINGS[name], a, b, acc)
+            assert certified == (offset < 0)
+            _assert_bits_equal(got, mmo_reference(name, a, b, acc))
+
+    @pytest.mark.parametrize("side", [-1, 0, 1], ids=["under", "at", "over"])
+    @pytest.mark.parametrize("half_step_in", ["a", "b"])
+    @pytest.mark.parametrize("name", PLUS_RINGS)
+    def test_bound_edge_off_the_grid(self, name, half_step_in, side, sgemm_calls):
+        # 2**22 - 1, 2**22 and 2**22 + 1 units of the 1/4 grid certify on
+        # it.  One entry at 1/8, in either operand and off the maxima, makes
+        # them 2**24 - 4, 2**24 and 2**24 + 4 units of the 1/8 grid.
+        bound = ops._EXACT_UNITS // 4 + side
+        ring = SEMIRINGS[name]
+        a, b = _edge_operands(name, bound, step=0.25)
+        assert _mmo_path(sgemm_calls, ring, a, b)[1]
+        a, b = _edge_operands(name, bound, step=0.25, half_step_in=half_step_in)
+        got, certified = _mmo_path(sgemm_calls, ring, a, b)
+        assert certified == (side < 0)
+        _assert_bits_equal(got, mmo_reference(ring, a, b))
+
+    @pytest.mark.parametrize("name", PLUS_RINGS)
+    def test_units_past_int64_do_not_wrap(self, name, sgemm_calls):
+        # 2**-24, fp16's least subnormal, sets the grid, so 256 is 2**32
+        # units: a bound of about 2**64, which int64 would wrap to 0.
+        a = np.array([[256.0, 2.0**-24]])
+        b = np.array([[256.0], [2.0**-24]]) * (1 if name == "plus-mul" else -1)
+        got, certified = _mmo_path(sgemm_calls, SEMIRINGS[name], a, b)
+        assert not certified
+        _assert_bits_equal(got, mmo_reference(name, a, b))
+
+    def test_which_launches_take_the_sgemm(self, sgemm_calls):
+        rng = np.random.default_rng(21)
+        a, b, c = (rng.integers(-8, 9, shape) / 2 for shape in ((6, 7), (7, 5), (6, 5)))
+        for name in PLUS_RINGS:
+            assert _mmo_path(sgemm_calls, SEMIRINGS[name], a, b, c)[1]
+        # The operators decide, not the name.
+        renamed = [
+            Semiring(name="dot", oplus=np.add, otimes=np.multiply,
+                     oplus_identity=0.0, otimes_annihilator=0.0),
+            Semiring(name="l2", oplus=np.add, otimes=SEMIRINGS["plus-norm"].otimes,
+                     oplus_identity=0.0, associative_otimes=False,
+                     distributive_otimes=False),
+        ]
+        for ring in renamed:
+            assert _mmo_path(sgemm_calls, ring, a, b, c)[1]
+        # Not on an fp32 datapath, nor on the int8 variants or other rings.
+        fp32_in = Semiring(name="dot32", oplus=np.add, otimes=np.multiply,
+                           oplus_identity=0.0, input_dtype=np.float32)
+        others = [fp32_in, *(int8_variant(name) for name in PLUS_RINGS)]
+        others += [SEMIRINGS[name] for name in sorted(set(SEMIRINGS) - set(PLUS_RINGS))]
+        for ring in others:
+            got, certified = _mmo_path(sgemm_calls, ring, a, b, c)
+            assert not certified, ring.name
+            np.testing.assert_array_equal(got, mmo_reference(ring, a, b, c))
+        # Nor with a non-finite entry in A or in B.
+        for value in (np.inf, -np.inf, np.nan):
+            bad_a, bad_b = a.copy(), b.copy()
+            bad_a[1, 2] = bad_b[1, 2] = value
+            for x, y in ((bad_a, b), (a, bad_b)):
+                for name in PLUS_RINGS:
+                    got, certified = _mmo_path(sgemm_calls, SEMIRINGS[name], x, y, c)
+                    assert not certified
+                    with np.errstate(invalid="ignore"):  # the reference's inf - inf
+                        want = mmo_reference(name, x, y, c)
+                    _assert_bits_equal(got, want)

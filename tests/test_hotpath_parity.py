@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.backends import capabilities_of, get_backend, list_backends
-from repro.core import SEMIRINGS
+from repro.core import SEMIRINGS, mmo_reference, ops
+from repro.datasets import PointCloudSpec, uniform_points
 from repro.hw.device import Simd2Device
 from repro.runtime import ExecutionContext, Trace
 from repro.runtime.kernels import mmo_tiled, mmo_tiled_split_k
@@ -225,6 +226,61 @@ def test_no_accumulator_launch_allocates_little_beyond_its_output():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert peak < 2 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the output"
+
+
+@pytest.mark.parametrize(
+    "name, backend",
+    [
+        (name, backend)
+        for backend in list_backends()
+        for name in ("plus-mul", "plus-norm")
+        if capabilities_of(get_backend(backend)).supports(name, has_accumulator=True)
+    ],
+)
+def test_certified_plus_launches_agree_across_backends(name, backend, monkeypatch):
+    # Operands on a 1/16 grid certify, so the vectorized kernel folds them
+    # with one sgemm; every backend must give the reference's bits, with
+    # and without C, on- and off-tile shapes (emulate on the smallest).  C
+    # is on the grid too: the emulated unit starts its fold from C, which
+    # rounds otherwise.
+    sgemm = []
+    real = ops._sgemm
+    monkeypatch.setattr(ops, "_sgemm", lambda *args: sgemm.append(1) or real(*args))
+    shapes = [(20, 24, 18)] + ([] if backend == "emulate" else [(32, 40, 48), (37, 45, 29)])
+    for m, k, n in shapes:
+        rng = np.random.default_rng([m, k, n])
+        a = rng.integers(-128, 129, (m, k)) / 16
+        b = rng.integers(-128, 129, (k, n)) / 16
+        c = rng.integers(-64, 65, (m, n)) / 16
+        c[:2] = -0.0
+        a[:2] = 0.0  # rows of zero folds, where C holds -0.0
+        for acc in (None, c):
+            got, _ = mmo_tiled(name, a, b, acc, backend=backend)
+            want = mmo_reference(name, a, b, acc)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+    if backend == "vectorized":
+        assert len(sgemm) == 2 * len(shapes)
+
+
+def test_certified_launch_allocates_little_beyond_its_output(monkeypatch):
+    # The certified twin of the test above: knn_wide's points lie on a 1/16
+    # grid, so this launch runs as one sgemm, which must write the output
+    # in place.  A second (m, n) temporary would cost knn_wide 64 MB.
+    a = uniform_points(PointCloudSpec(1024, 48, seed=5))
+    b = uniform_points(PointCloudSpec(1024, 48, seed=6)).T
+    sgemm = []
+    real = ops._sgemm
+    monkeypatch.setattr(ops, "_sgemm", lambda *args: sgemm.append(1) or real(*args))
+    mmo_tiled("plus-norm", a, b, backend="vectorized")  # compile and warm up
+    tracemalloc.start()
+    try:
+        out, _ = mmo_tiled("plus-norm", a, b, backend="vectorized")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sgemm == [1, 1]
     assert peak < 2 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the output"
 
 
