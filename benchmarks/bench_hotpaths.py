@@ -12,10 +12,14 @@ replaced (:func:`_broadcast_reduce_mmo`), and gated: the streaming kernel
 must be at least ``KERNEL_MIN_SPEEDUP`` times faster on a min-plus launch
 (512² in smoke mode, 2048² with ``--full``) and give the same bits.  KNN's
 top-k selection ``repro.apps.knn.select_k_smallest`` is gated the same way
-against a frozen copy of the stable-argsort selection it replaced
-(:func:`_argsort_select`): equal results and at least ``TOPK_MIN_SPEEDUP``
-times faster on a tie-heavy 1024² matrix, plus a 4096² ``knn_wide``-shaped
-distance matrix with ``--full``.  The kernel's per-ring loop is gated
+on the points of ``TOPK_GATES``, with equal bits, against frozen copies of
+the two selections it replaced: the stable argsort
+(:func:`_argsort_select`) on a tie-heavy 1024² matrix and, with
+``--full``, a 4096² ``knn_wide``-shaped distance matrix; and the per-row
+partition (:func:`_partition_select`) on ``knn_wide``-shaped distances
+and on the group bound's worst rows: constant, half NaN, the smallest
+entries in one column residue class, and numbers in fewer than k column
+groups (the partition fallback).  The kernel's per-ring loop is gated
 against a frozen copy of the streaming kernel on NumPy's default buffer
 (:func:`_default_buffer_mmo`) on the launches of ``RING_BUFFER_GATES``:
 the row-sized ufunc buffer of min-plus and plus-norm, and or-and's packed
@@ -36,7 +40,8 @@ Usage::
 Smoke mode runs small sizes in a few seconds (wired to ``make bench-smoke``
 and CI); ``--full`` adds the acceptance-criteria points: 512² emulate
 (scalar vs batched, the ≥10× target), 1024² emulate, a 4096² Figure-14
-sparse point, the 2048² kernel gate and the 4096² top-k gate.
+sparse point, the 2048² kernel gate, and the top-k gates at 4096² on
+``knn_wide`` distances and 2048² on the worst-case rows.
 """
 
 from __future__ import annotations
@@ -73,10 +78,25 @@ from interleaved import interleaved_mins
 #: The streaming kernel must beat the broadcast-and-reduce baseline by this.
 KERNEL_MIN_SPEEDUP = 1.8
 
-#: The partition top-k must beat the stable-argsort selection by this.
-TOPK_MIN_SPEEDUP = 3.0
+#: ``(baseline, inputs, smoke n, --full n, minimum speedup)`` of
+#: ``select_k_smallest`` over a frozen selection on an n² matrix (no smoke
+#: point where smoke n is ``None``).  ``knn_wide`` is that workload's
+#: plus-norm distances; ``tie_heavy`` rows hold 64 distinct values; the
+#: last four are the group bound's worst rows, where it must merely not
+#: lose to the partition.  On ``nan_groups`` rows every group bound is NaN,
+#: so each row takes the partition fallback; without it they would sort
+#: whole rows (0.2-0.3x).
+TOPK_GATES = (
+    ("argsort", "tie_heavy", 1024, 1024, 3.0),
+    ("argsort", "knn_wide", None, 4096, 3.0),
+    ("partition", "knn_wide", 1024, 4096, 1.5),
+    ("partition", "all_equal", 1024, 2048, 1.0),
+    ("partition", "half_nan", 1024, 2048, 1.0),
+    ("partition", "residue_class", 1024, 2048, 1.0),
+    ("partition", "nan_groups", 1024, 2048, 1.0),
+)
 
-#: Neighbours per query in the top-k gate, as in the ``knn_wide`` workload.
+#: Neighbours per query in the top-k gates, as in the ``knn_wide`` workload.
 TOPK_K = 16
 
 #: ``(ring, with C, minimum speedup, (m, k, n), operands)`` of
@@ -366,61 +386,109 @@ def bench_ring_buffers(*, repeats: int) -> list[dict]:
 
 
 def _argsort_select(distances, k):
-    """The selection ``select_k_smallest`` replaced, frozen here: one stable
-    argsort of every whole row, cut to its first ``k`` columns."""
+    """The first selection ``select_k_smallest`` replaced, frozen here: one
+    stable argsort of every whole row, cut to its first ``k`` columns."""
     order = np.argsort(distances, axis=1, kind="stable")[:, :k]
     values = np.take_along_axis(distances, order, axis=1)
     return order, values
+
+
+def _partition_select(distances, k):
+    """The selection the group-minimum bound replaced, frozen here: per
+    256-row block, partition every row to its k-th value, keep the entries
+    at most that value with a 2-D ``np.nonzero``, and stable-sort those."""
+    rows, cols = distances.shape
+    indices = np.empty((rows, k), dtype=np.intp)
+    values = np.empty((rows, k), dtype=distances.dtype)
+    first_k = np.arange(k)
+    for start in range(0, rows, 256):
+        block = distances[start : start + 256]
+        kth = np.partition(block, k - 1, axis=1)[:, k - 1 : k]
+        keep = (block <= kth) | np.isnan(kth)
+        row, col = np.nonzero(keep)
+        kept = block[row, col]
+        order = np.lexsort((kept, row))
+        counts = np.count_nonzero(keep, axis=1)
+        pick = order[(np.cumsum(counts) - counts)[:, None] + first_k]
+        indices[start : start + len(block)] = col[pick]
+        values[start : start + len(block)] = kept[pick]
+    return indices, values
+
+
+TOPK_BASELINES = {"argsort": _argsort_select, "partition": _partition_select}
 
 
 def _topk_inputs(n: int, shape: str) -> np.ndarray:
     rng = np.random.default_rng(9)
     if shape == "tie_heavy":
         # 64 distinct values per row of n: nearly every row's k-th value
-        # ties with entries past it, so the partition keeps extra entries.
+        # ties with entries past it, so the selection keeps extra entries.
         return rng.integers(0, 64, (n, n)).astype(np.float32)
+    if shape == "all_equal":
+        return np.ones((n, n), np.float32)  # every entry is a candidate
+    if shape == "half_nan":
+        # A NaN-propagating group minimum would be NaN in every group.
+        distances = rng.random((n, n)).astype(np.float32)
+        distances[rng.random((n, n)) < 0.5] = np.nan
+        return distances
+    if shape == "residue_class":
+        # Every 128th column holds a row's smallest entries, all in one
+        # group, so the other groups' minima bound it loosely.
+        distances = rng.random((n, n)).astype(np.float32) + 1.0
+        distances[:, ::128] -= 1.0
+        return distances
+    if shape == "nan_groups":
+        # Numbers in two columns of every 128, so in 2 < k groups.
+        distances = np.full((n, n), np.nan, np.float32)
+        distances[:, 3::128] = rng.random((n, n // 128))
+        distances[:, 70::128] = rng.random((n, n // 128))
+        return distances
     # knn_wide: plus-norm distances between two uniform 40-d point sets.
     queries = uniform_points(PointCloudSpec(n, 40, seed=21))
     references = uniform_points(PointCloudSpec(n, 40, seed=22))
     return core_ops.mmo("plus-norm", queries, references.T)
 
 
-def bench_topk(records: list[dict], n: int, shape: str, *, repeats: int) -> float:
-    """Partition top-k vs the frozen argsort selection on an n² matrix.
+def bench_topk(
+    records: list[dict], baseline: str, shape: str, n: int, bound: float,
+    *, repeats: int,
+) -> dict:
+    """``select_k_smallest`` vs a frozen selection on an n² matrix.
 
-    Min-of-``repeats``, alternating as in :func:`bench_kernel`.  Returns
-    the speedup; exits on a result mismatch or a speedup below the gate.
+    Min-of-``repeats``, interleaved.  Returns the gate's row; exits on a
+    bit mismatch or a speedup below ``bound``.
     """
     distances = _topk_inputs(n, shape)
-    timings = {"argsort": float("inf"), "partition": float("inf")}
-    results = {}
-    for _ in range(repeats):
-        for mode, select in (
-            ("argsort", _argsort_select),
-            ("partition", select_k_smallest),
-        ):
-            t0 = time.perf_counter()
-            results[mode] = select(distances, TOPK_K)
-            timings[mode] = min(timings[mode], time.perf_counter() - t0)
-    if not all(
-        np.array_equal(got, want)
-        for got, want in zip(results["partition"], results["argsort"])
+    frozen = TOPK_BASELINES[baseline]
+    got = select_k_smallest(distances, TOPK_K)
+    want = frozen(distances, TOPK_K)
+    if not (
+        np.array_equal(got[0], want[0])
+        and np.array_equal(got[1].view(np.uint8), want[1].view(np.uint8))
     ):
-        raise SystemExit(f"top-k {n}² {shape}: partition result != argsort result")
-    for mode, seconds in timings.items():
+        raise SystemExit(f"top-k {n}² {shape}: result != the {baseline} result")
+    frozen_s, select_s = interleaved_mins(
+        lambda: frozen(distances, TOPK_K),
+        lambda: select_k_smallest(distances, TOPK_K),
+        repeats,
+    )
+    for mode, seconds in ((baseline, frozen_s), ("select_k_smallest", select_s)):
         records.append(
             {"case": "topk", "n": n, "inputs": shape, "mode": mode, "seconds": seconds}
         )
-    speedup = timings["argsort"] / timings["partition"]
-    print(f"top-k   {n:5d}² {shape:9s} argsort {timings['argsort']:8.3f}s  "
-          f"partition {timings['partition']:8.3f}s  "
-          f"(speedup {speedup:4.2f}x, need >= {TOPK_MIN_SPEEDUP}x, equal)")
-    if speedup < TOPK_MIN_SPEEDUP:
+    speedup = frozen_s / select_s
+    print(f"top-k   {n:5d}² {shape:13s} {baseline:9s} {frozen_s:8.3f}s  "
+          f"select {select_s:8.3f}s  "
+          f"(speedup {speedup:5.2f}x, need >= {bound}x, bit-identical)")
+    if speedup < bound:
         raise SystemExit(
-            f"top-k {n}² {shape}: partition selection {speedup:.2f}x faster "
-            f"than the argsort baseline, below the {TOPK_MIN_SPEEDUP}x gate"
+            f"top-k {n}² {shape}: select_k_smallest {speedup:.2f}x faster "
+            f"than the {baseline} selection, below the {bound}x gate"
         )
-    return speedup
+    return {
+        "baseline": baseline, "n": n, "inputs": shape, "k": TOPK_K,
+        "speedup": round(speedup, 2), "min_speedup": bound,
+    }
 
 
 def _emulate_case(n: int, *, batched: bool, seed: int = 0):
@@ -519,12 +587,10 @@ def main(argv: list[str] | None = None) -> int:
     ring_buffer_gates = bench_ring_buffers(repeats=15 if args.full else 7)
     certified_gates = bench_certified(repeats=15 if args.full else 7)
     certificate_cost_gates = bench_certificate_cost(repeats=15 if args.full else 7)
-    topk_points = [(1024, "tie_heavy")] + ([(4096, "knn_wide")] if args.full else [])
-    topk_gate = [
-        {"n": n, "inputs": shape, "k": TOPK_K,
-         "speedup": round(bench_topk(records, n, shape, repeats=5), 2),
-         "min_speedup": TOPK_MIN_SPEEDUP}
-        for n, shape in topk_points
+    topk_gates = [
+        bench_topk(records, baseline, shape, n, bound, repeats=5)
+        for baseline, shape, smoke_n, full_n, bound in TOPK_GATES
+        if (n := full_n if args.full else smoke_n) is not None
     ]
     bench_emulate(records, 128, compare_scalar=True)
     bench_spgemm(records, 512, 0.05, compare_reference=True)
@@ -560,7 +626,7 @@ def main(argv: list[str] | None = None) -> int:
             "speedup": round(kernel_speedup, 2),
             "min_speedup": KERNEL_MIN_SPEEDUP,
         },
-        "topk_gate": topk_gate,
+        "topk_gates": topk_gates,
         "ring_buffer_gates": ring_buffer_gates,
         "certified_gates": certified_gates,
         "certificate_cost_gates": certificate_cost_gates,

@@ -15,7 +15,10 @@ check-resilience`` and CI.  Three gates:
 3. **Checksum overhead** — the ABFT-checked closure must stay under
    ``1.3x`` the unchecked closure on a 512² min-plus closure (vectorized
    backend).  The checksums are O(n²) folds around an O(n³) launch; this
-   gate keeps them that way.
+   gate keeps them that way.  The gate reads the median of per-repeat
+   ratios, each from one back-to-back pair (:func:`paired_ratios`); the
+   ratio of the two arms' minima over the same repeats is recorded beside
+   it, but a rare fast repeat of either arm decides that one.
 
 Usage::
 
@@ -29,6 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import statistics
 import sys
 from pathlib import Path
 
@@ -38,7 +42,7 @@ from repro.hw import Simd2Device
 from repro.resilience import FaultPlan, FaultSpec, resilient_closure
 from repro.runtime import Trace, closure, use_context
 
-from interleaved import interleaved_mins
+from interleaved import paired_ratios
 
 E2E_N = 64
 E2E_DEVICES = 3
@@ -166,26 +170,31 @@ def checksum_overhead(records: list[dict]) -> None:
 
     unchecked()  # warm lazy imports before timing
     checked()
-    best_plain, best_checked = interleaved_mins(
+    ratios, (best_plain, best_checked) = paired_ratios(
         unchecked, checked, OVERHEAD_REPEATS
     )
-    ratio = best_checked / best_plain
+    ratio = statistics.median(ratios)
+    min_ratio = best_checked / best_plain
     records.append(
         {
             "case": "checksum_overhead", "n": OVERHEAD_N,
             "iterations": OVERHEAD_ITERATIONS,
             "unchecked_seconds": best_plain,
             "checked_seconds": best_checked,
-            "ratio": round(ratio, 6), "max_ratio": MAX_OVERHEAD_RATIO,
+            "paired_ratios": [round(r, 6) for r in ratios],
+            "ratio": round(ratio, 6),
+            "ratio_of_mins": round(min_ratio, 6),
+            "max_ratio": MAX_OVERHEAD_RATIO,
         }
     )
     print(f"overhead {OVERHEAD_N}² x{OVERHEAD_ITERATIONS}iter  "
           f"unchecked {best_plain * 1e3:7.1f}ms  "
-          f"checked {best_checked * 1e3:7.1f}ms  ratio {ratio:.3f}")
+          f"checked {best_checked * 1e3:7.1f}ms  "
+          f"median paired ratio {ratio:.3f}  ratio of mins {min_ratio:.3f}")
     if ratio > MAX_OVERHEAD_RATIO:
         raise SystemExit(
-            f"checksum overhead {ratio:.3f}x exceeds the "
-            f"{MAX_OVERHEAD_RATIO}x budget"
+            f"checksum overhead {ratio:.3f}x (median of paired ratios) "
+            f"exceeds the {MAX_OVERHEAD_RATIO}x budget"
         )
 
 
