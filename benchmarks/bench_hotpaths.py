@@ -23,7 +23,12 @@ groups (the partition fallback).  The kernel's per-ring loop is gated
 against a frozen copy of the streaming kernel on NumPy's default buffer
 (:func:`_default_buffer_mmo`) on the launches of ``RING_BUFFER_GATES``:
 the row-sized ufunc buffer of min-plus and plus-norm, and or-and's packed
-pass.  Each case needs equal bits and at least its speedup.  Grid-valued
+pass.  Each case needs equal bits and at least its speedup.  Or-and's byte
+tables are gated the same way against a frozen copy of the packed pass
+they replaced, which gathers one B row per set bit
+(:func:`_set_bit_or_and_mmo`), on the launches of ``OR_AND_GATES``: at
+least 2x on dense 768³ launches and 1.5x on a dense rank-64 update, and
+no loss beyond 0.9x where a table cannot pay.  Grid-valued
 plus-norm and plus-mul launches pass the exactness certificate and run as
 one sgemm: ``CERTIFIED_GATES`` times them against the frozen streaming
 kernel under the row-sized buffer (:func:`_row_buffer_mmo`), with equal
@@ -116,6 +121,20 @@ RING_BUFFER_GATES = (
     ("plus-norm", False, 1.3, (768, 64, 768), "uniform"),
     ("or-and", True, 3.0, (768, 64, 768), 0.1),
     ("or-and", True, 2.0, (768, 768, 768), 0.93),
+)
+
+#: ``(minimum speedup, (m, k, n), density)`` of ``repro.core.ops.mmo`` over
+#: :func:`_set_bit_or_and_mmo` on or-and launches with C, every operand true
+#: at ``density``.  The dense launches gate the byte tables; the last three
+#: gate that no table is built where it cannot pay (a sparse 768³ launch,
+#: a 64-row panel and a small dense launch).
+OR_AND_GATES = (
+    (2.0, (768, 768, 768), 0.44),
+    (2.0, (768, 768, 768), 0.93),
+    (1.5, (768, 64, 768), 0.44),
+    (0.9, (768, 768, 768), 0.004),
+    (0.9, (64, 64, 768), 0.44),
+    (0.9, (48, 48, 48), 0.93),
 )
 
 #: ``(ring, with C, minimum speedup, (m, k, n))`` of ``repro.core.ops.mmo``
@@ -385,6 +404,78 @@ def bench_ring_buffers(*, repeats: int) -> list[dict]:
     return gates
 
 
+def _set_bit_words(a, b_words):
+    """The packed or-and pass before byte tables, frozen here: row ``i``
+    ORs the packed B rows at the set bits of row ``i`` of A, per block of
+    rows whose gathered words stay within 2**17."""
+    out = np.zeros((a.shape[0], b_words.shape[1]), dtype=b_words.dtype)
+    if not out.size:
+        return out
+    per_block = max(1, 2**17 // b_words.shape[1])
+    counts = a.sum(axis=1)
+    ends = np.cumsum(counts)
+    firsts = ends - counts
+    start = 0
+    while start < len(out):
+        stop = max(start + 1, int(np.searchsorted(ends, firsts[start] + per_block, "right")))
+        ks = np.nonzero(a[start:stop])[1]
+        if len(ks) > per_block:
+            for lo in range(0, len(ks), per_block):
+                out[start] |= np.bitwise_or.reduce(b_words[ks[lo : lo + per_block]])
+        elif len(ks):
+            hit = start + np.flatnonzero(counts[start:stop])
+            heads = firsts[hit] - firsts[start]
+            out[hit] = np.bitwise_or.reduceat(b_words[ks], heads, axis=0)
+        start = stop
+    return out
+
+
+def _set_bit_or_and_mmo(a, b, c):
+    """``repro.core.ops.mmo``'s or-and branch before byte tables, frozen
+    here: pack B, run :func:`_set_bit_words`, unpack and OR C in."""
+    ring = get_semiring("or-and")
+    a_bits = quantize_input(a, ring).astype(bool, copy=False)
+    b_bits = quantize_input(b, ring).astype(bool, copy=False)
+    out = core_ops.unpack_rows(_set_bit_words(a_bits, core_ops.pack_rows(b_bits)), b.shape[1])
+    np.logical_or(np.asarray(c, dtype=bool), out, out=out)
+    return out
+
+
+def bench_or_and(*, repeats: int) -> list[dict]:
+    """``core.ops.mmo`` vs :func:`_set_bit_or_and_mmo` per ``OR_AND_GATES``.
+
+    Min-of-``repeats``, interleaved.  Returns the gate entries; exits on a
+    bit mismatch or a speedup below a case's bound.
+    """
+    gates = []
+    for bound, shape, density in OR_AND_GATES:
+        a, b, c = _ring_buffer_inputs("or-and", True, shape, density)
+        if not np.array_equal(_set_bit_or_and_mmo(a, b, c), core_ops.mmo("or-and", a, b, c)):
+            raise SystemExit(f"or-and {shape} d={density}: mmo result != set-bit result")
+        frozen_s, kernel_s = interleaved_mins(
+            lambda: _set_bit_or_and_mmo(a, b, c),
+            lambda: core_ops.mmo("or-and", a, b, c),
+            repeats,
+        )
+        speedup = frozen_s / kernel_s
+        label = f"or-and with C d={density}"
+        print(f"or-and  {'×'.join(map(str, shape)):11s} {label:24s} "
+              f"set-bit {frozen_s * 1e3:7.2f}ms  "
+              f"mmo {kernel_s * 1e3:7.2f}ms  (speedup {speedup:4.2f}x, "
+              f"need >= {bound}x, bit-identical)")
+        if speedup < bound:
+            raise SystemExit(
+                f"or-and {shape} d={density}: mmo {speedup:.2f}x faster than the "
+                f"set-bit pass, below the {bound}x gate"
+            )
+        gates.append({
+            "shape": list(shape), "density": density, "with_c": True,
+            "set_bit_s": frozen_s, "mmo_s": kernel_s,
+            "speedup": round(speedup, 2), "min_speedup": bound,
+        })
+    return gates
+
+
 def _argsort_select(distances, k):
     """The first selection ``select_k_smallest`` replaced, frozen here: one
     stable argsort of every whole row, cut to its first ``k`` columns."""
@@ -592,6 +683,9 @@ def main(argv: list[str] | None = None) -> int:
         for baseline, shape, smoke_n, full_n, bound in TOPK_GATES
         if (n := full_n if args.full else smoke_n) is not None
     ]
+    # After the top-k gates: run before them, these launches leave the heap
+    # in a state that read the all_equal selection 0.99-1.02x, not 1.13x.
+    or_and_gates = bench_or_and(repeats=15 if args.full else 7)
     bench_emulate(records, 128, compare_scalar=True)
     bench_spgemm(records, 512, 0.05, compare_reference=True)
     if args.full:
@@ -628,6 +722,7 @@ def main(argv: list[str] | None = None) -> int:
         },
         "topk_gates": topk_gates,
         "ring_buffer_gates": ring_buffer_gates,
+        "or_and_gates": or_and_gates,
         "certified_gates": certified_gates,
         "certificate_cost_gates": certificate_cost_gates,
     }

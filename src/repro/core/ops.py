@@ -42,12 +42,25 @@ Or-and (⊕ ``np.logical_or``, ⊗ ``np.logical_and``) does not stream: it
 runs on packed words, one bit per element, as cuBool does (Section 5.2).
 B's rows are packed into little-endian 64-bit words (:func:`pack_rows`).
 Row ``i`` of the product ORs the packed rows of B that the set bits of
-row ``i`` of A name (:func:`or_and_words`), per block of A rows whose
-gathered words stay within ``_BUDGET``.  The result is unpacked once and
-``C`` is OR-ed in last.  Or-and is exact, so no fold order can change a
-bit; on a 1024³ launch with C the packed pass takes 3.8–35 ms from
-density 0.004 to 0.93, against 121–124 ms for the ``bool`` streaming loop
-(2-CPU x86 VM, NumPy 2.4).
+row ``i`` of A name (:func:`or_and_words`).  A dense A names many, so
+the pass gathers by keys of one of two widths.  At width 1 a key is a
+set bit of A and gathers one B row.  At width 8 it is a nonzero byte of
+A's packed row and gathers one row of a byte table, the Method of Four
+Russians (Arlazarov et al., 1970; M4RI's M4RM product): for each group
+of 8 B rows, the 256 ORs of its subsets, built in 8 doubling steps.  A
+row of the product then ORs at most ``⌈k/8⌉`` table rows in place of up
+to ``k`` B rows, so its cost stops tracking A's density.  Tables are
+built one slab of byte groups at a time, each slab within ``_BUDGET``
+words, and every block of A rows gathers at most ``_BUDGET`` words, one
+``np.bitwise_or.reduceat`` per block at either width.  The width is
+chosen per launch from the shape and A's set bits (:func:`_key_width`):
+bytes when the keys they save outweigh the table rows built, which
+rules out small launches and sparse ones.  The result is unpacked once
+and ``C`` is OR-ed in last.  Or-and is exact, so no grouping of the ORs
+can change a bit.  On a 1024³ launch with C, one pinned CPU, the pass
+takes 2.2–7.4 ms from density 0.004 to 0.93, against 3.9–33 ms for the
+per-set-bit gather it replaced and 121–124 ms for the ``bool`` streaming
+loop before that (2-CPU x86 VM, NumPy 2.4).
 
 Plus-mul and plus-norm skip the streaming loop when a certificate shows
 that no fold order can change a bit (:func:`_certified`, O(mk + kn) on
@@ -98,13 +111,24 @@ __all__ = [
 ]
 
 #: Element budget of the kernel's temporaries: the ``(rows, n)`` accumulator
-#: and one chunk of products, or the packed B rows one block of or-and
-#: gathers.  With 2**17 fp32 elements, a large launch's accumulator and
-#: one-step chunk (1 MB together) fit a 2 MB L2.
+#: and one chunk of products, or, in 64-bit words, the table rows one block
+#: of or-and gathers and one slab of its byte tables.  With 2**17 fp32
+#: elements, a large launch's accumulator and one-step chunk (1 MB
+#: together) fit a 2 MB L2.
 _BUDGET = 2**17
 
 #: Bits per packed word of the or-and path.
 _WORD = 64
+
+#: Bits per key of the or-and path's byte tables (:func:`or_and_words`).
+_BYTE = 8
+
+#: The prices :func:`_key_width` weighs, in gathered 64-bit words: per key
+#: beside its words, per byte-table row built, and per launch that builds
+#: tables.
+_KEY_COST = 8
+_TABLE_ROW_COST = 24
+_TABLE_COST = 40_000
 
 #: Output rows at least ``_UNBUFFERED_WIDTH`` wide run the arithmetic rings'
 #: rank-1 updates under a ufunc buffer of ``_ROW_BUFFER`` elements, no longer
@@ -286,34 +310,141 @@ def unpack_rows(words: np.ndarray, cols: int) -> np.ndarray:
     return np.unpackbits(octets, axis=1, count=cols, bitorder="little").view(bool)
 
 
-def or_and_words(a: np.ndarray, b_words: np.ndarray) -> np.ndarray:
-    """The or-and product of a ``bool`` A and row-packed B, packed the same way.
+def _key_width(m: int, k: int, n: int, bits: float) -> int:
+    """The key width of an ``(m, k, n)`` or-and launch whose A holds ``bits``
+    set bits: 8 (byte tables) or 1 (set bits), for :func:`or_and_words`.
 
-    Row ``i`` of the result ORs the rows of ``b_words`` (:func:`pack_rows`)
-    at the set bits of row ``i`` of A, with ``np.bitwise_or.reduceat``.
-    A block of A rows gathers at most ``_BUDGET`` words; a row whose set
-    bits alone gather more is ORed in pieces.  A row without set bits
-    stays clear, the ⊕ identity.
+    Bytes pay when the keys they save, each priced at its gathered words
+    plus ``_KEY_COST``, outweigh the table: ``_TABLE_ROW_COST`` per row
+    built and ``_TABLE_COST`` once.  A's nonzero bytes are counted as if
+    its set bits were spread evenly, which over-counts clustered bits and
+    so leans toward set bits.  The substrate cost model
+    (:mod:`repro.timing.backend_cost`) asks the same question at the
+    expected count ``m·k·density_a``.
     """
-    out = np.zeros((a.shape[0], b_words.shape[1]), dtype=b_words.dtype)
-    if not out.size:
-        return out
-    per_block = max(1, _BUDGET // b_words.shape[1])  # set bits, one word row each
-    counts = a.sum(axis=1)
+    if bits <= 0:
+        return 1
+    saved = (bits - _nonzero_bytes(m, k, bits)) * (-(-n // _WORD) + _KEY_COST)
+    built = -(-k // _BYTE) * 256 * _TABLE_ROW_COST + _TABLE_COST
+    return _BYTE if saved > built else 1
+
+
+def _nonzero_bytes(m: int, k: int, bits: float) -> float:
+    """The nonzero bytes of an ``(m, k)`` A's packed rows, were its ``bits``
+    set bits spread evenly."""
+    if bits <= 0:
+        return 0.0
+    return m * -(-k // _BYTE) * (1.0 - (1.0 - bits / (m * k)) ** _BYTE)
+
+
+def _byte_table(b_words: np.ndarray, lo: int, hi: int, table: np.ndarray) -> np.ndarray:
+    """The byte table of groups ``lo`` to ``hi`` of 8 rows of ``b_words``,
+    built in 8 doubling steps into the first rows of ``table``.
+
+    Row ``256·(g - lo) + v`` ORs the rows ``8g + j`` whose bit ``j`` is set
+    in ``v``, the order of ``np.packbits(..., bitorder="little")``.  Rows
+    past the last of ``b_words`` count as clear.
+    """
+    words = b_words.shape[1]
+    rows = b_words[_BYTE * lo : _BYTE * hi]
+    if len(rows) < _BYTE * (hi - lo):  # k % 8 rows in the last group
+        rows = np.concatenate([rows, np.zeros((_BYTE * (hi - lo) - len(rows), words), rows.dtype)])
+    rows = rows.reshape(hi - lo, _BYTE, words)
+    table = table[: (hi - lo) * 256].reshape(hi - lo, 256, words)
+    table[:, 0] = 0
+    for j in range(_BYTE):
+        np.bitwise_or(table[:, : 1 << j], rows[:, j, None], out=table[:, 1 << j : 2 << j])
+    return table.reshape(-1, words)
+
+
+def _gather_or(
+    out: np.ndarray, keys: np.ndarray, table: np.ndarray, width: int, first: bool,
+    gathered: np.ndarray,
+) -> None:
+    """OR into each row of ``out`` the ``table`` rows its row of ``keys`` names.
+
+    Key ``v`` in column ``g`` names table row ``g`` at width 1 (a set bit;
+    the table is B's packed rows) and row ``256·g + v`` at width 8.  Zero
+    keys name nothing.  A block of rows gathers at most ``len(gathered)``
+    table rows into ``gathered``, folded per row by
+    ``np.bitwise_or.reduceat``; a row whose keys alone gather more is ORed
+    in pieces.  ``first`` writes the rows instead of ORing into them.
+    """
+    groups = keys.shape[1]
+    per_block = len(gathered)
+    # A bool sum counts set bits faster than count_nonzero.
+    counts = keys.sum(axis=1) if width == 1 else np.count_nonzero(keys, axis=1)
     ends = np.cumsum(counts)
-    firsts = ends - counts  # where each row's set bits start, in row order
+    firsts = ends - counts  # where each row's keys start, in row order
     start = 0
     while start < len(out):
         stop = max(start + 1, int(np.searchsorted(ends, firsts[start] + per_block, "right")))
-        ks = np.nonzero(a[start:stop])[1]
-        if len(ks) > per_block:  # one row
-            for lo in range(0, len(ks), per_block):
-                out[start] |= np.bitwise_or.reduce(b_words[ks[lo : lo + per_block]])
-        elif len(ks):
+        block = keys[start:stop]
+        index = np.flatnonzero(block)
+        if width == _BYTE:
+            values = block.ravel()[index]
+            index %= groups
+            index <<= 8
+            index |= values
+        else:
+            index %= groups
+        # Every index is in range.  Mode "clip" writes into ``gathered``
+        # directly; the default "raise" stages the rows through a copy.
+        if len(index) > per_block:  # one row
+            for lo in range(0, len(index), per_block):
+                piece = index[lo : lo + per_block]
+                rows = np.take(table, piece, axis=0, out=gathered[: len(piece)], mode="clip")
+                out[start] |= np.bitwise_or.reduce(rows)
+        elif len(index):
             hit = start + np.flatnonzero(counts[start:stop])
             heads = firsts[hit] - firsts[start]
-            out[hit] = np.bitwise_or.reduceat(b_words[ks], heads, axis=0)
+            rows = np.take(table, index, axis=0, out=gathered[: len(index)], mode="clip")
+            got = np.bitwise_or.reduceat(rows, heads, axis=0)
+            if first:
+                out[hit] = got
+            else:
+                out[hit] |= got
         start = stop
+
+
+def or_and_words(a: np.ndarray, b_words: np.ndarray) -> np.ndarray:
+    """The or-and product of A and row-packed B, packed the same way.
+
+    A is read as ``bool``: any nonzero entry, NaN included, is set.  Row
+    ``i`` of the result ORs the rows of ``b_words`` (:func:`pack_rows`) at
+    the set bits of row ``i`` of A, gathered by keys of the width
+    :func:`_key_width` picks from the shape and A's set bits.  Width 1
+    gathers one B row per set bit.  Width 8 gathers one byte-table row
+    (:func:`_byte_table`) per nonzero byte of A's packed rows, building the
+    tables one slab of byte groups at a time so that each slab's table
+    stays within ``_BUDGET`` words (one group at least).  A row without set
+    bits stays clear, the ⊕ identity.
+
+    The slab's table and the gathered rows share one allocation per
+    launch.  As separate arrays, the allocator returned and re-faulted
+    them from one launch to the next at some sizes: a 384³ all-true launch
+    inside ``mmo`` read 1.2–1.3 ms with about 430 page faults, against
+    0.65 ms with about 30.
+    """
+    a = np.asarray(a).astype(bool, copy=False)
+    out = np.zeros((a.shape[0], b_words.shape[1]), dtype=b_words.dtype)
+    if not out.size:
+        return out
+    (m, k), words = a.shape, b_words.shape[1]
+    bits = np.count_nonzero(a)
+    per_block = max(1, min(bits, _BUDGET // words))  # keys, one table row each
+    if _key_width(m, k, words * _WORD, bits) == 1:
+        gathered = np.empty((per_block, words), dtype=b_words.dtype)
+        _gather_or(out, a, b_words, 1, True, gathered)
+        return out
+    keys = np.packbits(a, axis=1, bitorder="little")
+    per_slab = max(1, min(keys.shape[1], _BUDGET // (256 * words)))
+    work = np.empty((per_slab * 256 + per_block, words), dtype=b_words.dtype)
+    table, gathered = work[: per_slab * 256], work[per_slab * 256 :]
+    for lo in range(0, keys.shape[1], per_slab):
+        hi = min(lo + per_slab, keys.shape[1])
+        slab = np.ascontiguousarray(keys[:, lo:hi])
+        _gather_or(out, slab, _byte_table(b_words, lo, hi, table), _BYTE, lo == 0, gathered)
     return out
 
 

@@ -24,12 +24,17 @@ fitted for that ``(backend, ring)`` pair:
   runs.  The streaming loop's is its ``(i, k, j)`` pairs, split three
   ways: one broadcast-and-reduce, the streamed rank-1 updates under
   NumPy's default ufunc buffer, or the same updates under the row-sized
-  buffer.  Or-and's packed loop gathers one packed B row per set bit of
-  A (``m·k·density_a``), and its price counts those rows and their 64-bit
-  words, so it grows with A's density.  The price models the streaming
-  loop even where ``mmo`` skips it: a plus-mul or plus-norm launch whose
-  values pass the exactness certificate runs as one sgemm, several times
-  cheaper, but a price sees only shapes and densities.  So ``auto``
+  buffer.  Or-and's packed loop gathers one table row per key, at the
+  key width the kernel picks for the expected set bits
+  ``m·k·density_a`` (:func:`repro.core.ops._key_width`): per set bit of
+  A, where the table is B's packed rows, or per nonzero byte of A, after
+  building byte tables of 256 rows per group of 8 B rows.  Its price
+  counts those keys, their 64-bit words and the tables' words, so it
+  grows with A's density until byte tables take over and then levels
+  off.  The price models the streaming loop even where ``mmo`` skips it:
+  a plus-mul or plus-norm launch whose values pass the exactness
+  certificate runs as one sgemm, several times cheaper, but a price sees
+  only shapes and densities.  So ``auto``
   over-prices certified launches, and on plus-mul, which the sparse
   backend also runs, that tilts the sparse/dense choice toward spGEMM;
 - **sparse** (:mod:`repro.backends.sparse`, Gustavson spGEMM) — a
@@ -67,7 +72,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable
 
-from repro.core.ops import kernel_loop
+from repro.core.ops import _key_width, _nonzero_bytes, kernel_loop
 from repro.core.registry import get_semiring
 from repro.core.tiles import TILE, tile_counts
 from repro.timing.backend_cost_fit import COEFFICIENTS
@@ -133,8 +138,18 @@ def _vectorized_terms(spec: LaunchSpec) -> tuple[float, ...]:
     m, n, k = tiles_m * TILE, tiles_n * TILE, tiles_k * TILE
     loop = kernel_loop(get_semiring(spec.ring), m, n, k)
     pairs = float(m * n * k)
-    # Padding adds no set bits; a packed B row is ceil(n / 64) words.
-    gathered = spec.m * spec.k * spec.density_a if loop == "packed" else 0.0
+    # The packed pass gathers one table row of ceil(n / 64) words per key:
+    # per set bit of A at width 1, where the table is B's packed rows, and
+    # per nonzero byte at width 8, after building 256 rows per byte group.
+    # Padding adds no set bits.
+    keys = table_rows = 0.0
+    if loop == "packed":
+        bits = spec.m * spec.k * spec.density_a
+        if _key_width(m, k, n, bits) == 1:
+            keys = bits
+        else:
+            keys, table_rows = _nonzero_bytes(m, k, bits), 256.0 * -(-k // 8)
+    words = -(-n // 64)
     return (
         1.0,
         float(m * k),
@@ -143,8 +158,9 @@ def _vectorized_terms(spec: LaunchSpec) -> tuple[float, ...]:
         pairs if loop == "reduce" else 0.0,
         pairs if loop == "stream" else 0.0,
         pairs if loop == "unbuffered" else 0.0,
-        gathered,
-        gathered * -(-n // 64),
+        keys,
+        keys * words,
+        table_rows * words,
     )
 
 
@@ -175,7 +191,7 @@ _TERMS: dict[str, tuple[tuple[str, ...], _Counter]] = {
     "vectorized": (
         ("launch", "a_entry", "b_entry", "output",
          "pair_reduce", "pair_stream", "pair_unbuffered",
-         "gathered_row", "gathered_word"),
+         "gathered_row", "gathered_word", "table_word"),
         _vectorized_terms,
     ),
     "sparse": (

@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import SEMIRINGS, Semiring, SemiringError, get_semiring, mmo, ops
 from repro.core.ops import mmo_reference
@@ -405,6 +406,125 @@ class TestPackedOrAnd:
         assert words.shape == (2, 2)
         assert words.tolist() == [[1, 1], [0, 1 << 5]]
         np.testing.assert_array_equal(ops.unpack_rows(words, 70), bits)
+
+
+def _or_and_oracle(a, b):
+    """The or-and product by integer matmul; fp32 counts below 2**24 are exact."""
+    a, b = (np.asarray(x).astype(bool) for x in (a, b))
+    if a.shape[1] < 2**24 and a.size * b.shape[1] > 2**24:
+        return (a.astype(np.float32) @ b.astype(np.float32)) > 0
+    return (a.astype(np.int64) @ b.astype(np.int64)) > 0
+
+
+def _or_and_words(a, b):
+    """``or_and_words`` of ``a`` and packed ``b``, unpacked."""
+    return ops.unpack_rows(ops.or_and_words(a, ops.pack_rows(np.asarray(b, dtype=bool))), b.shape[1])
+
+
+@pytest.fixture
+def table_slabs(monkeypatch):
+    """The ``(lo, hi)`` byte-group slabs whose tables ``ops._byte_table`` built."""
+    slabs = []
+    real = ops._byte_table
+
+    def spy(b_words, lo, hi, table):
+        slabs.append((lo, hi))
+        return real(b_words, lo, hi, table)
+
+    monkeypatch.setattr(ops, "_byte_table", spy)
+    return slabs
+
+
+class TestByteTables:
+    """Or-and by byte tables: a nonzero byte of an A row gathers one
+    precomputed OR of up to 8 packed B rows, bit for bit the set-bit pass."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(0, 70),
+        k=st.integers(0, 300),
+        n=st.integers(0, 300),
+        density_a=st.floats(0.0, 1.0),
+        density_b=st.floats(0.0, 1.0),
+        width=st.sampled_from([None, 1, 8]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_integer_oracle(self, m, k, n, density_a, density_b, width, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.random((m, k)) < density_a
+        b = rng.random((k, n)) < density_b
+        with pytest.MonkeyPatch.context() as patch:
+            if width is not None:  # else the launch's own key width
+                patch.setattr(ops, "_key_width", lambda *args: width)
+            got = _or_and_words(a, b)
+        np.testing.assert_array_equal(got, (a.astype(np.int64) @ b.astype(np.int64)) > 0)
+
+    @pytest.mark.parametrize(
+        "shape,density,width",
+        [((512, 512, 512), 0.5, 8), ((16, 16, 16), 1.0, 1), ((1024, 1024, 1024), 0.004, 1)],
+    )
+    def test_key_width_follows_the_launch(self, shape, density, width, table_slabs):
+        m, k, n = shape
+        rng = np.random.default_rng(m)
+        a = rng.random((m, k)) < density
+        b = rng.random((k, n)) < 0.5
+        assert ops._key_width(m, k, n, np.count_nonzero(a)) == width
+        np.testing.assert_array_equal(mmo("or-and", a, b), _or_and_oracle(a, b))
+        assert bool(table_slabs) == (width == 8)
+
+    @pytest.mark.parametrize(
+        "m,k,n,budget",
+        # 2 words a row: 4 groups a slab and 1024 keys a block, so 3 row
+        # blocks a slab; then 1 group a slab (the clamp) and 21 keys a block.
+        [(600, 100, 70, 2048), (40, 100, 130, 64)],
+    )
+    def test_slabs_and_row_blocks(self, m, k, n, budget, table_slabs, monkeypatch):
+        monkeypatch.setattr(ops, "_BUDGET", budget)
+        monkeypatch.setattr(ops, "_key_width", lambda *args: 8)
+        rng = np.random.default_rng(budget)
+        a = rng.random((m, k)) < 0.3
+        a[3] = False
+        a[5] = True
+        b = rng.random((k, n)) < 0.025  # about half the outputs set
+        words = -(-n // 64)
+        per_slab = max(1, budget // (256 * words))
+        assert m * per_slab > budget // words  # several row blocks a slab
+        np.testing.assert_array_equal(_or_and_words(a, b), _or_and_oracle(a, b))
+        groups = -(-k // 8)
+        assert table_slabs == [
+            (lo, min(lo + per_slab, groups)) for lo in range(0, groups, per_slab)
+        ]
+
+    @pytest.mark.parametrize("width", [1, 8])
+    def test_all_true_empty_rows_and_degenerate_shapes_at_each_width(self, width, monkeypatch):
+        monkeypatch.setattr(ops, "_key_width", lambda *args: width)
+        rng = np.random.default_rng(width)
+        a = rng.random((6, 70)) < 0.3
+        a[0] = False
+        a[1] = True
+        b = rng.random((70, 130)) < 0.2
+        c = rng.random((6, 130)) < 0.1
+        for acc in (None, c):
+            _assert_or_and_matches_reference(a, b, acc)
+            _assert_or_and_matches_reference(np.ones_like(a), np.ones_like(b), acc)
+        assert not mmo("or-and", a, b)[0].any()  # the ⊕ identity
+        for m, k, n in [(0, 4, 5), (3, 4, 0), (3, 0, 5), (0, 0, 0), (1, 9, 1)]:
+            got = _assert_or_and_matches_reference(
+                np.ones((m, k), dtype=bool), np.ones((k, n), dtype=bool)
+            )
+            assert got.all() if k else not got.any()
+
+    @pytest.mark.parametrize("width", [None, 1, 8])
+    def test_or_and_words_reads_a_as_bool(self, width, monkeypatch):
+        # Any nonzero entry is set, NaN included, as in mmo's packed branch.
+        if width is not None:
+            monkeypatch.setattr(ops, "_key_width", lambda *args: width)
+        b = np.eye(2, 3, dtype=bool)
+        want = [[True, False, False], [False, True, False]]
+        ints = np.array([[2, 0], [0, 1]], np.int8)
+        np.testing.assert_array_equal(_or_and_words(ints, b), want)
+        floats = np.array([[np.nan, 0.0], [-0.0, -0.5]])
+        np.testing.assert_array_equal(_or_and_words(floats, b), want)
 
 
 #: The rings whose launches may run as one exact sgemm.

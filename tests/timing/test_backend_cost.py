@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from repro.backends.sparse import absorbing_rings
+from repro.core import ops
 from repro.core.ops import kernel_loop
 from repro.core.registry import SEMIRINGS
 from repro.plan import MODEL_ERROR_BAND
@@ -138,18 +139,35 @@ class TestTerms:
         assert kernel_loop(SEMIRINGS[ring], size, size, size) == loop.removeprefix("pair_")
 
     def test_packed_terms_count_gathered_rows_and_words(self):
-        # One packed B row per set bit of the unpadded A; a row of the
-        # padded 208-wide B is 4 words.
+        # A small launch gathers one packed B row per set bit of the
+        # unpadded A (key width 1); a row of the padded 208-wide B is 4
+        # words, and no table is built.
         values = dict(
             zip(TERMS["vectorized"],
                 terms("vectorized", LaunchSpec("or-and", 100, 200, 50,
                                                density_a=0.1, density_b=0.2)))
         )
+        assert ops._key_width(112, 64, 208, 100 * 50 * 0.1) == 1
         assert values["gathered_row"] == pytest.approx(100 * 50 * 0.1)
         assert values["gathered_word"] == pytest.approx(100 * 50 * 0.1 * 4)
+        assert values["table_word"] == 0.0
+        # A dense 1024³ launch gathers one byte-table row per nonzero byte
+        # of A (key width 8), as many as evenly spread set bits fill, each
+        # 16 words, after building 256 rows per group of 8 rows of B.
+        bits = 1024 * 1024 * 0.5
+        values = dict(
+            zip(TERMS["vectorized"],
+                terms("vectorized", LaunchSpec("or-and", 1024, 1024, 1024,
+                                               density_a=0.5, density_b=0.5)))
+        )
+        assert ops._key_width(1024, 1024, 1024, bits) == 8
+        nonzero_bytes = 1024 * 128 * (1 - 0.5**8)
+        assert values["gathered_row"] == pytest.approx(nonzero_bytes)
+        assert values["gathered_word"] == pytest.approx(nonzero_bytes * 16)
+        assert values["table_word"] == 128 * 256 * 16
         for ring in sorted(set(SEMIRINGS) - {"or-and"}):
             spec = LaunchSpec(ring, 100, 200, 50, density_a=0.1, density_b=0.2)
-            assert terms("vectorized", spec)[-2:] == (0.0, 0.0)
+            assert terms("vectorized", spec)[-3:] == (0.0, 0.0, 0.0)
 
     def test_packed_price_grows_with_the_density_of_a(self):
         prices = [
