@@ -71,9 +71,6 @@ __all__ = [
 #: margins inside this band are treated as ties worth one probe.
 MODEL_ERROR_BAND = 1.35
 
-#: The ring a ring-less :func:`planner_order` prices its nominal launch in.
-_NOMINAL_RING = "plus-mul"
-
 
 class PlanError(RuntimeError_):
     """No capable backend, or an otherwise unplannable launch."""
@@ -328,43 +325,27 @@ def crossover_density(
 
 
 def planner_order(
-    ring: "Semiring | str | MmoOpcode | None" = None,
-    a: "np.ndarray | None" = None,
-    b: "np.ndarray | None" = None,
+    ring: "Semiring | str | MmoOpcode",
+    a: np.ndarray,
+    b: np.ndarray,
     c: "np.ndarray | None" = None,
     *,
     table: AutotuneTable | None = None,
 ) -> tuple[str, ...]:
     """Ranked concrete backend names for a launch — the fallback order.
 
-    The shape :class:`~repro.resilience.policy.FallbackChain` consumes:
-    with operands, the real plan's order (capability-filtered, density
-    aware); without them, a nominal dense square launch of ``ring`` (of
-    plus-mul, the GEMM ring, when no ring is given) prices a static
-    ordering over every non-planning backend.
+    The order :class:`~repro.resilience.policy.FallbackChain` consumes:
+    the launch's real plan order, capability-filtered and density-aware.
     """
-    planner = Planner(table)
-    if ring is not None and a is not None and b is not None:
-        from repro.sparse.density import estimate_density
+    from repro.sparse.density import estimate_density
 
-        opcode = resolve_opcode(ring)
-        m, k = a.shape
-        n = b.shape[1]
-        plan = planner.plan(
-            opcode, m, n, k,
-            has_accumulator=c is not None,
-            density_a=estimate_density(a, opcode.semiring),
-            density_b=estimate_density(b, opcode.semiring),
-        )
-        return plan.order
-    if ring is not None:
-        ring_name = resolve_opcode(ring).semiring.name
-        names = list(capable_backends(ring_name))
-    else:
-        from repro.backends.base import list_backends
-
-        ring_name = _NOMINAL_RING
-        names = list(list_backends())
-    spec = LaunchSpec(ring_name, 256, 256, 256)
-    names = [name for name in names if not _is_planning_backend(name)]
-    return tuple(sorted(names, key=lambda name: (estimate(name, spec), name)))
+    opcode = resolve_opcode(ring)
+    m, k = a.shape
+    n = b.shape[1]
+    plan = Planner(table).plan(
+        opcode, m, n, k,
+        has_accumulator=c is not None,
+        density_a=estimate_density(a, opcode.semiring),
+        density_b=estimate_density(b, opcode.semiring),
+    )
+    return plan.order

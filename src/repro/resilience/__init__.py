@@ -6,13 +6,15 @@ Cooperating pieces, all opt-in and all observable through the trace:
   execute seam (:class:`FaultPlan` on the execution context);
 - :mod:`repro.resilience.checksum` — semiring-generalized ABFT: ⊕-fold
   row/column checksums verified on every checked launch;
-- :mod:`repro.resilience.policy` — recovery: :class:`RetryPolicy` (with
-  seeded exponential backoff and the permanent/transient taxonomy),
-  :class:`FallbackChain`, and :func:`resilient_mmo`;
+- :mod:`repro.resilience.policy` — recovery: :class:`Recovery`, the one
+  policy ``ExecutionContext.recovery`` holds, built from
+  :class:`RetryPolicy` (with seeded exponential backoff and the
+  permanent/transient taxonomy) and :class:`FallbackChain`, plus
+  :func:`resilient_mmo`;
 - :mod:`repro.resilience.watchdog` — closure-iteration health checks
   (NaN poisoning, non-monotone progress, oscillation);
 - :mod:`repro.resilience.closure` — :func:`resilient_closure`, the whole
-  stack composed over the multi-device fixpoint loop;
+  stack composed over the closure loop, on one device or many;
 - :mod:`repro.resilience.clock` — the injectable :class:`Clock` behind
   every time read and sleep (:class:`VirtualClock` for deterministic
   replay);
@@ -39,12 +41,10 @@ from repro.resilience.budget import (
 )
 from repro.resilience.cancel import CancellationToken, OperationCancelled
 from repro.resilience.checksum import (
-    CheckedLaunch,
     ChecksumReport,
     ChecksumUnsupported,
     CorruptionDetected,
     MmoChecksums,
-    checked_mmo,
     mmo_checksums,
 )
 from repro.resilience.clock import (
@@ -66,6 +66,7 @@ from repro.resilience.policy import (
     PERMANENT,
     TRANSIENT,
     FallbackChain,
+    Recovery,
     ResilienceExhausted,
     RetryPolicy,
     classify,
@@ -79,7 +80,6 @@ __all__ = [
     "BudgetError",
     "BudgetExhausted",
     "CancellationToken",
-    "CheckedLaunch",
     "ChecksumReport",
     "ChecksumUnsupported",
     "CircuitBreaker",
@@ -97,13 +97,13 @@ __all__ = [
     "MonotonicClock",
     "OperationCancelled",
     "PERMANENT",
+    "Recovery",
     "ResilienceError",
     "ResilienceExhausted",
     "ResilientClosureResult",
     "RetryPolicy",
     "TRANSIENT",
     "VirtualClock",
-    "checked_mmo",
     "classify",
     "default_clock",
     "mmo_checksums",

@@ -30,8 +30,8 @@ not — a backend that returns corrupt results still accumulates the
 verification failures that open it.
 
 Consumers: the launch-node recovery driver in :mod:`repro.sched.executor`
-(behind :func:`~repro.resilience.policy.resilient_mmo` and checked
-bands) calls :meth:`BreakerBoard.try_acquire` before each backend in its
+(every launch under a context ``recovery`` policy) calls
+:meth:`BreakerBoard.try_acquire` before each backend in its
 walk (skipping open ones with a ``breaker_open`` event and a
 :class:`BreakerOpen` cause); the ``"auto"`` planning backend filters
 blocked backends out of its :class:`~repro.plan.planner.DispatchPlan`

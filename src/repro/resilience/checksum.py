@@ -18,7 +18,11 @@ launch — and are computed on the host from the *quantised* operands (the
 same fp16→fp32 cast the backends apply), so for idempotent ⊕ (min/max/or)
 the comparison is **exact**: the fold of the true result selects the same
 fp32 values the checksum computed.  For ``⊕ = np.add`` reassociation makes
-the folds differ by rounding, so the comparison is tolerance-based.
+the folds differ by rounding, so the comparison is tolerance-based.  The
+rounding of a sum grows with the magnitude of the terms it adds, not with
+the sum, so each lane's tolerance scales with the same folds taken over
+``|A|``, ``|B|`` and ``|C|`` (a lane whose terms cancel to nearly zero
+still rounds like its large terms).
 
 Two rings need care:
 
@@ -38,8 +42,6 @@ poison is always caught (NaN propagates through min/max/add folds).
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING
-
 import numpy as np
 
 from repro.core.registry import get_semiring
@@ -47,17 +49,11 @@ from repro.core.semiring import Semiring
 from repro.core.tiles import TILE
 from repro.resilience.faults import ResilienceError
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.runtime.context import ExecutionContext
-    from repro.runtime.kernels import KernelStats
-
 __all__ = [
-    "CheckedLaunch",
     "ChecksumReport",
     "ChecksumUnsupported",
     "CorruptionDetected",
     "MmoChecksums",
-    "checked_mmo",
     "mmo_checksums",
 ]
 
@@ -138,13 +134,21 @@ def _check_support(semiring: Semiring, a: np.ndarray, b: np.ndarray) -> None:
 
 @dataclasses.dataclass(frozen=True)
 class MmoChecksums:
-    """Pre-launch expected ⊕-folds of one ``D = C ⊕ (A ⊗ B)`` launch."""
+    """Pre-launch expected ⊕-folds of one ``D = C ⊕ (A ⊗ B)`` launch.
+
+    On the tolerance path (``⊕ = np.add``) a lane matches when
+    ``|got − expected| ≤ rtol · magnitude + atol``, where ``magnitude``
+    is the lane's fold over ``|A|``, ``|B|`` and ``|C|``; equal values
+    (equal infinities included) and NaN on both sides match too.
+    """
 
     semiring: Semiring
     expected_row_fold: np.ndarray  # (n,) — ⊕ over D's rows (axis 0)
     expected_col_fold: np.ndarray  # (m,) — ⊕ over D's columns (axis 1)
     rtol: float
     atol: float
+    row_magnitude: np.ndarray | None  # (n,) — tolerance path only
+    col_magnitude: np.ndarray | None  # (m,) — tolerance path only
 
     @property
     def exact(self) -> bool:
@@ -162,10 +166,12 @@ class MmoChecksums:
             row_dev = col_dev = 0.0
         else:
             bad_cols, row_dev = _tolerance_mismatch(
-                got_row, self.expected_row_fold, self.rtol, self.atol
+                got_row, self.expected_row_fold, self.row_magnitude,
+                self.rtol, self.atol,
             )
             bad_rows, col_dev = _tolerance_mismatch(
-                got_col, self.expected_col_fold, self.rtol, self.atol
+                got_col, self.expected_col_fold, self.col_magnitude,
+                self.rtol, self.atol,
             )
         ok = not (bad_cols.any() or bad_rows.any())
         return ChecksumReport(
@@ -187,17 +193,28 @@ def _eq_with_nan(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _tolerance_mismatch(
-    got: np.ndarray, expected: np.ndarray, rtol: float, atol: float
+    got: np.ndarray,
+    expected: np.ndarray,
+    magnitude: np.ndarray,
+    rtol: float,
+    atol: float,
 ) -> tuple[np.ndarray, float]:
-    """Per-lane tolerance comparison; NaN on one side only is a mismatch."""
+    """Per-lane ``|got − expected| ≤ rtol · magnitude + atol``.
+
+    Equal values (so equal infinities) and NaN on both sides match; NaN
+    on one side only is a mismatch.
+    """
     got64 = got.astype(np.float64)
     exp64 = expected.astype(np.float64)
-    both_nan = np.isnan(got64) & np.isnan(exp64)
     with np.errstate(invalid="ignore"):
-        close = np.isclose(got64, exp64, rtol=rtol, atol=atol) | both_nan
-    deviation = np.abs(got64 - exp64)
-    deviation = float(np.nanmax(deviation)) if deviation.size else 0.0
-    return ~close, deviation
+        deviation = np.abs(got64 - exp64)
+        close = (
+            (got64 == exp64)
+            | (np.isnan(got64) & np.isnan(exp64))
+            | (deviation <= rtol * magnitude.astype(np.float64) + atol)
+        )
+    worst = float(np.nanmax(deviation)) if deviation.size else 0.0
+    return ~close, worst
 
 
 def mmo_checksums(
@@ -244,8 +261,8 @@ def mmo_checksums(
     expected_col = semiring.reduce(
         np.asarray(col_products, dtype=semiring.output_dtype), axis=1
     )
-    if c is not None:
-        cq = np.asarray(c, dtype=semiring.output_dtype)
+    cq = None if c is None else np.asarray(c, dtype=semiring.output_dtype)
+    if cq is not None:
         expected_row = np.asarray(
             semiring.oplus(expected_row, semiring.reduce(cq, axis=0)),
             dtype=semiring.output_dtype,
@@ -254,87 +271,21 @@ def mmo_checksums(
             semiring.oplus(expected_col, semiring.reduce(cq, axis=1)),
             dtype=semiring.output_dtype,
         )
+    row_mag = col_mag = None
+    if not semiring.is_idempotent():
+        # ⊕ = + and ⊗ = ·: the same folds over |A|, |B| and |C|, O(mk + kn).
+        abs_a, abs_b = np.abs(aq), np.abs(bq)
+        row_mag = np.sum(abs_a.sum(axis=0)[:, None] * abs_b, axis=0)
+        col_mag = np.sum(abs_a * abs_b.sum(axis=1)[None, :], axis=1)
+        if cq is not None:
+            row_mag = row_mag + np.abs(cq).sum(axis=0)
+            col_mag = col_mag + np.abs(cq).sum(axis=1)
     return MmoChecksums(
         semiring=semiring,
         expected_row_fold=expected_row,
         expected_col_fold=expected_col,
         rtol=rtol,
         atol=atol,
-    )
-
-
-@dataclasses.dataclass(frozen=True)
-class CheckedLaunch:
-    """Opt-in ABFT wrapper: checksum before, launch, verify after.
-
-    >>> checked = CheckedLaunch()
-    >>> d, stats = checked.run("min-plus", a, b, c, context=ctx)
-
-    Raises :class:`CorruptionDetected` (report attached) when the result
-    violates the folded invariant, and records a ``corruption_detected``
-    event on the context's trace.  ``rtol``/``atol`` apply to the
-    tolerance path (``⊕ = np.add``); idempotent rings compare exactly.
-    """
-
-    rtol: float = 1e-4
-    atol: float = 1e-6
-
-    def run(
-        self,
-        ring: Semiring | str,
-        a: np.ndarray,
-        b: np.ndarray,
-        c: np.ndarray | None = None,
-        *,
-        context: "ExecutionContext | None" = None,
-        api: str = "checked_mmo",
-    ) -> "tuple[np.ndarray, KernelStats]":
-        # A checked, never-retried launch node.  Lazy: policy imports us.
-        from repro.resilience.policy import RetryPolicy, _launch_node
-
-        return _launch_node(
-            ring, a, b, c,
-            context=context, api=api, validate_inputs=True,
-            checked=True, retry=RetryPolicy(max_retries=0), fallback=None,
-            rtol=self.rtol, atol=self.atol,
-        )
-
-    def verify(
-        self,
-        sums: MmoChecksums,
-        result: np.ndarray,
-        *,
-        context: "ExecutionContext | None" = None,
-        api: str = "checked_mmo",
-    ) -> ChecksumReport:
-        """Verify a result against precomputed checksums; raise on mismatch."""
-        report = sums.verify(result)
-        if not report.ok:
-            if context is not None:
-                from repro.hooks.pipeline import emit_event
-
-                emit_event(
-                    context,
-                    kind="corruption_detected",
-                    api=api,
-                    detail=report.describe(),
-                )
-            raise CorruptionDetected(report)
-        return report
-
-
-def checked_mmo(
-    ring: Semiring | str,
-    a: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray | None = None,
-    *,
-    context: "ExecutionContext | None" = None,
-    rtol: float = 1e-4,
-    atol: float = 1e-6,
-    api: str = "checked_mmo",
-) -> "tuple[np.ndarray, KernelStats]":
-    """Functional shorthand for :meth:`CheckedLaunch.run`."""
-    return CheckedLaunch(rtol=rtol, atol=atol).run(
-        ring, a, b, c, context=context, api=api
+        row_magnitude=row_mag,
+        col_magnitude=col_mag,
     )

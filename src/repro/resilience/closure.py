@@ -9,9 +9,10 @@ iterates themselves.  Because ⊕-fold checksums verify each band against
 its *inputs*, a recovered run is bit-identical to a fault-free run — the
 property ``benchmarks/bench_resilience.py`` proves end to end.
 
-Single-device callers get :func:`~repro.runtime.closure.closure`'s loop
-with :func:`~repro.resilience.policy.resilient_mmo` (retry + backend
-fallback) in place of the multi-device partitioner.
+A single-device run is :func:`~repro.runtime.closure.closure` itself
+under a context :class:`~repro.resilience.policy.Recovery` (retry plus
+backend fallback); a multi-device run is closure's loop with the
+multi-device partitioner as its launch, under the same policy.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ import numpy as np
 
 from repro.core.registry import get_semiring
 from repro.core.semiring import Semiring
-from repro.resilience.faults import ResilienceError
-from repro.resilience.policy import FallbackChain, RetryPolicy, resilient_mmo
+from repro.resilience.policy import FallbackChain, Recovery, RetryPolicy
 from repro.resilience.watchdog import ClosureWatchdog
-from repro.runtime.closure import ClosureResult, _iterate
+from repro.runtime.closure import ClosureResult, _iterate, closure
+from repro.runtime.context import resolve_context
+from repro.runtime.multidevice import mmo_tiled_multi_device
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hw.device import Simd2Device
@@ -73,33 +75,43 @@ def resilient_closure(
 ) -> ResilientClosureResult:
     """Iterate ``D ← D ⊕ (D ⊗ X)`` to a fixpoint, surviving faults.
 
-    Shares :func:`~repro.runtime.closure.closure`'s iteration loop, and
-    so its ``method`` schedules and semantics (``"blocked"`` included);
-    this driver supplies only the loop's ``C ⊕ (A ⊗ B)`` launch.  With
-    ``devices`` each launch is partitioned row-wise across them
+    Every launch runs under a context :class:`~repro.resilience.policy
+    .Recovery` of ``checked``, ``retry``, ``fallback``, ``rtol`` and
+    ``atol``, and closure's iteration loop supplies the ``method``
+    schedules and semantics (``"blocked"`` included).  Without
+    ``devices`` the call is :func:`~repro.runtime.closure.closure` under
+    that recovery, falling back down the planner-ordered
+    :class:`~repro.resilience.policy.FallbackChain` when ``fallback`` is
+    ``None``; its launch records and events carry ``api="closure"``.
+    With ``devices`` each launch is partitioned row-wise across them
     (:func:`~repro.runtime.multidevice.mmo_tiled_multi_device`) with
-    ``checked`` bands and ``on_device_failure`` recovery; the
-    ``blacklist`` set persists across launches, so a device that died
-    in iteration 2 is never asked again in iteration 3.  Without
-    ``devices`` each launch runs through
-    :func:`~repro.resilience.policy.resilient_mmo` (retry + ``fallback``
-    backend chain); bands never fall back, so passing ``fallback`` with
-    ``devices`` raises :class:`~repro.resilience.faults.ResilienceError`.
+    ``on_device_failure`` recovery; the ``blacklist`` set persists across
+    launches, so a device that died in iteration 2 is never asked again
+    in iteration 3.  Bands never fall back, so passing ``fallback`` with
+    ``devices`` raises :class:`~repro.resilience.faults.ResilienceError`
+    before any launch.
 
     The ``watchdog`` observes every iterate; on a trip the loop stops
     with the structured diagnosis instead of burning the iteration cap.
+    Launches skip ring-input validation: iterates may carry NaN/±inf
+    legitimately (fault studies, NaN fixpoints), and the watchdog and
+    ABFT checksums own in-loop poison detection.
     """
-    from repro.runtime.context import resolve_context
-    from repro.runtime.multidevice import mmo_tiled_multi_device
-
-    if devices is not None and fallback is not None:
-        raise ResilienceError(
-            "resilient_closure: fallback= applies to single-device runs; "
-            "devices= bands recover by retry and repartition — pass one "
-            "of devices= or fallback=, not both"
-        )
     ring = get_semiring(ring)
-    ctx = resolve_context(context, backend=backend)
+    if devices is None and fallback is None:
+        fallback = FallbackChain()
+    recovery = Recovery(
+        checked=checked, retry=retry, fallback=fallback, rtol=rtol, atol=atol
+    )
+    ctx = resolve_context(context, backend=backend).replace(recovery=recovery)
+    if devices is None:
+        result = closure(
+            ring, adjacency, method=method,
+            convergence_check=convergence_check, max_iterations=max_iterations,
+            context=ctx, watchdog=watchdog,
+        )
+        return ResilientClosureResult(**vars(result))
+
     blacklist = blacklist if blacklist is not None else set()
     shares: "tuple[DeviceShare, ...]" = ()
 
@@ -107,29 +119,14 @@ def resilient_closure(
         a: np.ndarray, b: np.ndarray, c: np.ndarray
     ) -> tuple[np.ndarray, list[KernelStats]]:
         nonlocal shares
-        # Launches skip ring-input validation: iterates may carry NaN/±inf
-        # legitimately (fault studies, NaN fixpoints) — the watchdog and
-        # ABFT checksums own in-loop poison detection.
-        if devices is None:
-            d, stats = resilient_mmo(
-                ring, a, b, c,
-                context=ctx, retry=retry, fallback=fallback,
-                checked=checked, rtol=rtol, atol=atol,
-                api="resilient_closure", validate_inputs=False,
-            )
-            launched = [stats]
-        else:
-            d, share_list = mmo_tiled_multi_device(
-                ring, a, b, c,
-                devices=devices, context=ctx,
-                checked=checked, retry=retry,
-                on_device_failure=on_device_failure,
-                blacklist=blacklist, rtol=rtol, atol=atol,
-                validate_inputs=False,
-            )
-            shares = tuple(share_list)
-            launched = [share.stats for share in shares]
-        return d, launched
+        d, share_list = mmo_tiled_multi_device(
+            ring, a, b, c,
+            devices=devices, context=ctx,
+            on_device_failure=on_device_failure, blacklist=blacklist,
+            validate_inputs=False,
+        )
+        shares = tuple(share_list)
+        return d, [share.stats for share in shares]
 
     result = _iterate(
         ring, adjacency, launch,

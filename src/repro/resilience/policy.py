@@ -2,11 +2,14 @@
 
 The resilience layer separates *detection* (fault plan events, ABFT
 checksums, hardware errors) from *response*.  This module defines the
-response; one driver applies it — the launch-node recovery driver in
-:mod:`repro.sched.executor`, behind :func:`resilient_mmo`,
-:func:`~repro.resilience.checksum.checked_mmo`, :func:`~repro.resilience
-.closure.resilient_closure` and checked or retried multi-device bands:
+response as one value, :class:`Recovery`, held on the execution context
+(``ExecutionContext.recovery``); one driver applies it — the launch-node
+recovery driver in :mod:`repro.sched.executor`, which every launch under
+the context runs through, whichever entry point built it:
 
+- :class:`Recovery` — the policy: whether results are ABFT-checked, the
+  retry policy, the fallback chain, and the plus-mul checksum tolerance.
+  ``recovery=None`` (the default) runs every launch once.
 - :class:`RetryPolicy` — how many times to relaunch after a retryable
   failure (an injected drop, a detected corruption), and how long to
   back off between attempts (exponential with seeded deterministic
@@ -17,10 +20,10 @@ response; one driver applies it — the launch-node recovery driver in
   backend keeps failing (e.g. ``vectorized → emulate``: if the fast path
   is corrupt or the emulated device faults, fall back to the other
   substrate and keep serving).  Each hop records a ``fallback`` event.
-- :func:`resilient_mmo` — the two composed: checked (optional) launches
-  under the context's backend, retried per policy, falling back down the
-  chain, raising :class:`ResilienceExhausted` only when every avenue is
-  spent.  When the context carries a
+- :func:`resilient_mmo` — ``mmo_tiled`` under a :class:`Recovery` that
+  falls back down the planner's chain by default, raising
+  :class:`ResilienceExhausted` only when every avenue is spent.  When
+  the context carries a
   :class:`~repro.resilience.breaker.BreakerBoard`, open backends are
   skipped outright (``breaker_open`` event, :class:`~repro.resilience
   .breaker.BreakerOpen` cause) and every failure/verified-success feeds
@@ -42,7 +45,7 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -50,7 +53,8 @@ from repro.compile.artifact import CompileError
 from repro.hw.errors import HardwareError
 from repro.resilience.checksum import CorruptionDetected
 from repro.resilience.faults import DeviceFailure, InjectedFault, ResilienceError
-from repro.runtime.kernels import OperandValidationError
+from repro.runtime.context import resolve_context
+from repro.runtime.kernels import OperandValidationError, mmo_tiled
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.semiring import Semiring
@@ -61,6 +65,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "FallbackChain",
     "PERMANENT",
+    "Recovery",
     "ResilienceExhausted",
     "RetryPolicy",
     "TRANSIENT",
@@ -201,10 +206,10 @@ class FallbackChain:
 
     ``backends=None`` (the default) consumes the planner's ranked order
     for the launch (:func:`repro.plan.planner.planner_order`): fallback
-    degrades cheapest-capable-first, density-aware when the launch
-    operands are known, instead of walking a hard-coded pair — so a
-    sparse launch falls back through ``sparse`` before the emulator, and
-    rings the sparse backend cannot run never route through it at all.
+    degrades cheapest-capable-first, density-aware, instead of walking a
+    hard-coded pair — so a sparse launch falls back through ``sparse``
+    before the emulator, and rings the sparse backend cannot run never
+    route through it at all.
     """
 
     backends: tuple[str, ...] | None = None
@@ -214,17 +219,16 @@ class FallbackChain:
         self,
         first: str,
         *,
-        ring: "Semiring | str | MmoOpcode | None" = None,
-        a: np.ndarray | None = None,
-        b: np.ndarray | None = None,
-        c: np.ndarray | None = None,
+        ring: "Semiring | str | MmoOpcode",
+        a: np.ndarray,
+        b: np.ndarray,
+        c: np.ndarray | None,
     ) -> tuple[str, ...]:
         """The full backend order for a launch starting at ``first``.
 
-        With an explicit ``backends`` tuple the keywords are ignored;
-        otherwise they parameterise the planner's ranking (ring-only
-        calls get a capability-filtered static order, full operands a
-        density-aware one).
+        With an explicit ``backends`` tuple the launch is ignored;
+        otherwise its ring and operands parameterise the planner's
+        capability-filtered, density-aware ranking.
         """
         if self.backends is not None:
             chain: tuple[str, ...] = self.backends
@@ -244,6 +248,33 @@ class FallbackChain:
         return isinstance(exc, self.fallback_on)
 
 
+@dataclasses.dataclass(frozen=True)
+class Recovery:
+    """How the one launch driver recovers every launch under a context.
+
+    Held in ``ExecutionContext.recovery``; ``None`` there runs each
+    launch once.  Under a recovery each launch walks its backend chain —
+    the context's backend, then ``fallback``'s order once retries are
+    spent (the context's backend alone when ``fallback`` is ``None``) —
+    with up to ``retry.max_attempts`` attempts per backend (``retry=None``
+    means :class:`RetryPolicy`'s defaults).  With ``checked`` every
+    result is verified against its ⊕-fold ABFT checksums, computed once
+    per launch before the first attempt; a mismatch is a retryable
+    :class:`~repro.resilience.checksum.CorruptionDetected`.  A ring
+    without checksums (plus-norm, min-mul/max-mul with a negative
+    operand) raises :class:`~repro.resilience.checksum
+    .ChecksumUnsupported` before any attempt.  ``rtol``/``atol`` bound
+    the plus-mul comparison (see :class:`~repro.resilience.checksum
+    .MmoChecksums`); idempotent rings compare exactly.
+    """
+
+    checked: bool = True
+    retry: RetryPolicy | None = None
+    fallback: FallbackChain | None = None
+    rtol: float = 1e-4
+    atol: float = 1e-6
+
+
 def resilient_mmo(
     ring: "Semiring | str | MmoOpcode",
     a: np.ndarray,
@@ -256,18 +287,16 @@ def resilient_mmo(
     checked: bool = True,
     rtol: float = 1e-4,
     atol: float = 1e-6,
-    api: str = "resilient_mmo",
-    validate_inputs: bool = True,
 ) -> "tuple[np.ndarray, KernelStats]":
     """``mmo_tiled`` with ABFT verification, retries, and backend fallback.
 
-    A one-node launch graph whose node carries ``checked``, ``retry`` and
-    ``fallback`` into the scheduler's recovery driver: up to
-    ``retry.max_attempts`` launches per backend, each ABFT-verified when
-    ``checked`` (checksums computed once), then the next backend in
-    ``fallback``.  Raises :class:`ResilienceExhausted` when the whole
-    chain fails; non-recoverable errors (shape validation, unknown
-    rings) propagate immediately.
+    The launch runs under ``context`` with a :class:`Recovery` of the
+    given fields, ``fallback`` defaulting to the planner-ordered
+    :class:`FallbackChain`: up to ``retry.max_attempts`` launches per
+    backend, each ABFT-verified when ``checked``, then the next backend
+    in the chain.  Raises :class:`ResilienceExhausted` when the whole
+    chain fails; non-recoverable errors (shape validation, poisoned
+    operands, unknown rings) propagate before any launch.
 
     SLO integration, all opt-in through context fields:
 
@@ -282,41 +311,12 @@ def resilient_mmo(
       typed) and backoff sleeps are charged against the deadline.
     - ``ctx.clock`` — backoff sleeps flow through the injectable clock,
       so a virtual clock replays the whole schedule deterministically.
-    - ``ctx.cancel`` / the deadline — checked before the node starts.
+    - ``ctx.cancel`` / the deadline — checked before the launch starts.
     """
-    return _launch_node(
-        ring, a, b, c,
-        context=context, api=api, validate_inputs=validate_inputs,
+    recovery = Recovery(
         checked=checked, retry=retry,
         fallback=fallback if fallback is not None else FallbackChain(),
         rtol=rtol, atol=atol,
     )
-
-
-def _launch_node(
-    ring: "Semiring | str | MmoOpcode",
-    a: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray | None,
-    *,
-    context: "ExecutionContext | None",
-    api: str,
-    validate_inputs: bool,
-    **policy: Any,
-) -> "tuple[np.ndarray, KernelStats]":
-    """Run one launch carrying ``policy``; reject bad operands first."""
-    from repro.compile.lower import resolve_opcode
-    from repro.runtime.context import resolve_context
-    from repro.runtime.kernels import _validate_operands, _validate_ring_inputs
-    from repro.sched.executor import resolve_scheduler
-    from repro.sched.graph import GraphBuilder
-
-    opcode = resolve_opcode(ring)
-    ctx = resolve_context(context)
-    a, b, c, _, _, _ = _validate_operands(a, b, c)
-    if validate_inputs:
-        _validate_ring_inputs(opcode.semiring, a, b, c)
-    builder = GraphBuilder(ctx, api)
-    builder.launch(opcode, a, b, c, **policy)
-    result = resolve_scheduler(ctx).run(builder.build(), context=ctx)
-    return result.outputs[0], result.stats[0]
+    ctx = resolve_context(context).replace(recovery=recovery)
+    return mmo_tiled(ring, a, b, c, context=ctx, api="resilient_mmo")

@@ -470,7 +470,6 @@ def mmo_tiled(
     context: ExecutionContext | None = None,
     api: str = "mmo_tiled",
     validate_inputs: bool = True,
-    fault_ordinal: int | None = None,
 ) -> tuple[np.ndarray, KernelStats]:
     """Whole-matrix ``D = C ⊕ (A ⊗ B)`` with implicit 16×16 tiling.
 
@@ -491,6 +490,10 @@ def mmo_tiled(
     context:
         Explicit :class:`~repro.runtime.context.ExecutionContext`; the
         ``backend``/``device`` keywords override its fields when given.
+        Under a context ``recovery`` policy the launch runs as a
+        one-launch :class:`~repro.sched.graph.LaunchGraph` on the
+        context's scheduler, whose recovery driver checks, retries and
+        falls back; without one it is a single direct launch.
     api:
         Label recorded in trace records (entry points pass their name).
     validate_inputs:
@@ -499,10 +502,6 @@ def mmo_tiled(
         anything is planned or compiled — see
         :func:`_validate_ring_inputs`.  Loop entry points that
         deliberately iterate non-finite state may disable it.
-    fault_ordinal:
-        Pre-reserved fault-plan ordinal for this launch (graph nodes are
-        numbered at build time by :mod:`repro.sched`); ``None`` claims
-        the next ordinal at execute time as before.
 
     Returns
     -------
@@ -514,11 +513,22 @@ def mmo_tiled(
     opcode = resolve_opcode(ring)
     a, b, c, _, _, _ = _validate_operands(a, b, c)
     ctx = resolve_context(context, backend=backend, device=device)
-    return _launch(
-        ctx, opcode, None, a, b, c,
-        api=api, cache_hit=None,
-        validate_inputs=validate_inputs, fault_ordinal=fault_ordinal,
-    )
+    if ctx.recovery is None:
+        return _launch(
+            ctx, opcode, None, a, b, c,
+            api=api, cache_hit=None,
+            validate_inputs=validate_inputs, fault_ordinal=None,
+        )
+    if validate_inputs:
+        _validate_ring_inputs(opcode.semiring, a, b, c)
+    # Lazy: repro.sched orchestrates this module's kernels.
+    from repro.sched.executor import resolve_scheduler
+    from repro.sched.graph import GraphBuilder
+
+    builder = GraphBuilder(ctx, api)
+    builder.launch(opcode, a, b, c)
+    result = resolve_scheduler(ctx).run(builder.build(), context=ctx)
+    return result.outputs[0], result.stats[0]
 
 
 def mmo_tiled_split_k(

@@ -11,10 +11,10 @@ and that the union of executed work equals the single-device run exactly.
 
 Resilience (all opt-in, defaults preserve the plain fail-fast behaviour):
 
-- ``checked=True`` verifies every band against its semiring ABFT
-  checksums (:mod:`repro.resilience.checksum`) and retries detected
-  corruption per ``retry`` (a :class:`~repro.resilience.policy
-  .RetryPolicy`);
+- the context's ``recovery`` policy (:class:`~repro.resilience.policy
+  .Recovery`) checks and retries every band through the scheduler's one
+  recovery driver, as on every other entry point; bands never fall
+  back, so a recovery carrying a ``fallback`` chain is rejected;
 - ``on_device_failure="repartition"`` survives hard device failures
   (injected via the context's :class:`~repro.resilience.faults.FaultPlan`
   or surfaced as emulator :class:`~repro.hw.errors.HardwareError`\\ s): the
@@ -32,7 +32,6 @@ Every failure, retry, and repartition lands as a
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -49,9 +48,6 @@ from repro.runtime.kernels import (
     _validate_operands,
     _validate_ring_inputs,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.resilience.policy import RetryPolicy
 
 __all__ = ["DeviceShare", "mmo_tiled_multi_device"]
 
@@ -79,12 +75,8 @@ def mmo_tiled_multi_device(
     devices: list[Simd2Device],
     backend: str | None = None,
     context: ExecutionContext | None = None,
-    checked: bool = False,
-    retry: "RetryPolicy | None" = None,
     on_device_failure: str = "abort",
     blacklist: set[int] | None = None,
-    rtol: float = 1e-4,
-    atol: float = 1e-6,
     validate_inputs: bool = True,
 ) -> tuple[np.ndarray, list[DeviceShare]]:
     """``D = C ⊕ (A ⊗ B)`` partitioned row-wise across devices.
@@ -104,15 +96,6 @@ def mmo_tiled_multi_device(
 
     Parameters (resilience, all opt-in)
     -----------------------------------
-    checked:
-        Verify every band against its ⊕-fold ABFT checksums; a detected
-        corruption is retried per ``retry`` and raises
-        :class:`~repro.resilience.checksum.CorruptionDetected` when the
-        retries are spent.
-    retry:
-        :class:`~repro.resilience.policy.RetryPolicy` for transient band
-        failures (detected corruption, injected drops).  Defaults to the
-        policy's defaults when ``checked`` is set.
     on_device_failure:
         ``"abort"`` (default) propagates the failure; ``"repartition"``
         blacklists the failed device and redistributes *all* rows across
@@ -126,6 +109,11 @@ def mmo_tiled_multi_device(
         :func:`~repro.runtime.kernels.mmo_tiled` does; the per-band
         launches skip re-validation.  ``False`` opts out for
         deliberately poisoned loops.
+
+    Band checks and retries come from the context's ``recovery``; a band
+    whose retries are spent re-raises its last failure.  A recovery with
+    a ``fallback`` chain raises :class:`~repro.resilience.faults
+    .ResilienceError` before any band runs.
     """
     if on_device_failure not in ("abort", "repartition"):
         raise RuntimeError_(
@@ -137,6 +125,17 @@ def mmo_tiled_multi_device(
     if backend is None and context is None:
         backend = "emulate"
     ctx = resolve_context(context, backend=backend)
+    # Lazy: repro.resilience sits above; repro.sched orchestrates this loop.
+    from repro.resilience.faults import DeviceFailure, ResilienceError
+    from repro.sched.builders import gather_rows, multidevice_graph
+    from repro.sched.executor import resolve_scheduler
+
+    if ctx.recovery is not None and ctx.recovery.fallback is not None:
+        raise ResilienceError(
+            "mmo_tiled_multi_device: devices= bands recover by retry and "
+            "repartition, never by fallback=; run the bands under a "
+            "recovery without a fallback chain"
+        )
     if isinstance(ring, MmoOpcode):
         semiring = ring.semiring
     else:
@@ -151,10 +150,6 @@ def mmo_tiled_multi_device(
 
     blacklist = blacklist if blacklist is not None else set()
     repartition = on_device_failure == "repartition"
-    # Lazy: repro.resilience sits above; repro.sched orchestrates this loop.
-    from repro.resilience.faults import DeviceFailure
-    from repro.sched.builders import gather_rows, multidevice_graph
-    from repro.sched.executor import resolve_scheduler
 
     while True:
         roster = [
@@ -167,17 +162,15 @@ def mmo_tiled_multi_device(
                 f"no surviving devices: all {len(devices)} blacklisted "
                 f"({sorted(blacklist)})"
             )
-        # One launch per device band, carrying the device and the
-        # resilience policy; a thread-pool scheduler runs the bands
+        # One launch per device band, carrying its device; a thread-pool
+        # scheduler runs the bands
         # concurrently, and the gather below writes them into fixed row
         # windows, bit-identically.  A device the fault plan hard-fails
         # raises at *build* time, in band order, so earlier bands keep
         # their ordinals across the repartition rebuild.
         try:
             graph, bands = multidevice_graph(
-                roster, semiring, a, b, c, ctx,
-                checked=checked, retry=retry, wrap_hw_errors=repartition,
-                rtol=rtol, atol=atol,
+                roster, semiring, a, b, c, ctx, wrap_hw_errors=repartition
             )
             result = resolve_scheduler(ctx).run(graph, context=ctx)
         except DeviceFailure as exc:

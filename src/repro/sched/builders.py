@@ -23,7 +23,7 @@ behaviour of the hand-rolled loops exactly:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -66,8 +66,7 @@ class ArtifactPool:
     The artifact is backend-agnostic, so every context gets one,
     ``backend="auto"`` included (its launches re-plan per replay).  Only
     empty outputs yield ``(None, None)``: nothing is lowered for them,
-    and their launches dispatch through
-    :func:`~repro.runtime.kernels.mmo_tiled`.
+    and their launches take the empty-output path at dispatch.
     """
 
     def __init__(self, context: "ExecutionContext", api: str):
@@ -269,15 +268,15 @@ def multidevice_graph(
     b: np.ndarray,
     c: np.ndarray | None,
     context: "ExecutionContext",
-    **policy: Any,
+    *,
+    wrap_hw_errors: bool,
 ) -> tuple[LaunchGraph, list[tuple[int, int, int]]]:
     """Lower one multi-device banding: one launch per non-empty device band.
 
     Output rows are partitioned tile-aligned across the roster; each
-    band's launch carries its device, the resilience ``policy`` keywords
-    of :meth:`~repro.sched.graph.GraphBuilder.launch` (ABFT checking,
-    retries, hardware-error wrapping) and a ``band [start:stop)`` label
-    for retry events.  The context's fault plan is consulted *at build
+    band's launch carries its device, ``wrap_hw_errors`` (so the
+    partitioner can repartition) and a ``band [start:stop)`` label for
+    retry events.  The context's fault plan is consulted *at build
     time*, in band order: a device scheduled to hard-fail raises
     :class:`~repro.resilience.faults.DeviceFailure` before that band's
     ordinal is reserved — bands built earlier keep their ordinals, so a
@@ -320,8 +319,8 @@ def multidevice_graph(
             cache_hit=hit,
             device=device,
             device_index=index,
+            wrap_hw_errors=wrap_hw_errors,
             label=f"band [{row_start}:{row_stop})",
-            **policy,
         )
         bands.append((index, row_start, row_stop))
     return builder.build(), bands

@@ -47,7 +47,6 @@ from repro.runtime.api import RuntimeError_
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.compile.artifact import CompiledMmo
     from repro.hw.device import Simd2Device
-    from repro.resilience.policy import FallbackChain, RetryPolicy
     from repro.runtime.context import ExecutionContext
 
 __all__ = [
@@ -69,8 +68,7 @@ class LaunchStep:
     ``a``, ``b`` and ``c`` are the launch's operands: the entry point's
     arrays or views of them (a split-k partition's columns, a band's
     rows), never another launch's output.  ``compiled is None`` compiles
-    at dispatch through :func:`~repro.runtime.kernels.mmo_tiled` (the
-    policy launches of ``resilient_mmo``/``checked_mmo``, empty outputs,
+    at dispatch (``mmo_tiled`` under a recovery policy, empty outputs,
     and batch items whose shapes disagree); otherwise
     :func:`~repro.runtime.kernels.execute_compiled` replays the artifact
     with ``cache_hit`` recorded on the launch.  ``fault_ordinal`` is the
@@ -79,13 +77,10 @@ class LaunchStep:
     A launch never validates ring inputs: the entry point that built the
     graph did that once, for the whole call.
 
-    The resilience fields make recovery per-launch *policy*, applied by
-    the executor's one recovery driver: ``checked`` verifies the result
-    against its ⊕-fold ABFT checksums, ``retry`` re-runs the launch on
-    retryable failures (each retry claims a fresh ordinal,
-    deterministically escaping transient faults), ``fallback`` walks a
-    backend chain once retries are spent, and ``wrap_hw_errors``
-    converts emulator :class:`~repro.hw.errors.HardwareError`\\ s into
+    A launch carries no recovery policy: the executor's one recovery
+    driver reads it from the context the graph runs under
+    (``ExecutionContext.recovery``).  ``wrap_hw_errors`` converts
+    emulator :class:`~repro.hw.errors.HardwareError`\\ s into
     :class:`~repro.resilience.faults.DeviceFailure` carrying
     ``device_index`` so the caller can repartition.
     """
@@ -100,12 +95,7 @@ class LaunchStep:
     fault_ordinal: int | None = None
     device: "Simd2Device | None" = None
     device_index: int | None = None
-    checked: bool = False
-    retry: "RetryPolicy | None" = None
-    fallback: "FallbackChain | None" = None
     wrap_hw_errors: bool = False
-    rtol: float = 1e-4
-    atol: float = 1e-6
     label: str = ""
 
 
@@ -145,12 +135,7 @@ class GraphBuilder:
         cache_hit: bool | None = None,
         device: "Simd2Device | None" = None,
         device_index: int | None = None,
-        checked: bool = False,
-        retry: "RetryPolicy | None" = None,
-        fallback: "FallbackChain | None" = None,
         wrap_hw_errors: bool = False,
-        rtol: float = 1e-4,
-        atol: float = 1e-6,
         label: str = "",
     ) -> int:
         """Append one launch, reserving its fault ordinal now.
@@ -178,12 +163,7 @@ class GraphBuilder:
                 fault_ordinal=fault_ordinal,
                 device=device,
                 device_index=device_index,
-                checked=checked,
-                retry=retry,
-                fallback=fallback,
                 wrap_hw_errors=wrap_hw_errors,
-                rtol=rtol,
-                atol=atol,
                 label=label,
             )
         )

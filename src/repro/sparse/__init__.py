@@ -11,7 +11,6 @@ from repro.sparse.structured import (
 )
 from repro.sparse.memory import RTX3080_MEMORY_BYTES, MemoryModel
 from repro.sparse.closure import SparseClosureResult, elementwise_oplus, sparse_closure
-from repro.sparse.bitmatrix import BitMatrix
 from repro.sparse.density import EXACT_THRESHOLD, estimate_density
 
 __all__ = [
@@ -30,7 +29,6 @@ __all__ = [
     "SparseClosureResult",
     "elementwise_oplus",
     "sparse_closure",
-    "BitMatrix",
     "EXACT_THRESHOLD",
     "estimate_density",
 ]

@@ -111,12 +111,14 @@ class CsrMatrix:
             mask = dense != implicit
         indptr = np.zeros(dense.shape[0] + 1, dtype=np.int64)
         np.cumsum(mask.sum(axis=1), out=indptr[1:])
-        rows_idx, cols_idx = np.nonzero(mask)
+        # Row-major flat indices split by divmod: the entries a 2-D
+        # ``np.nonzero`` finds, several times faster.
+        rows_idx, cols_idx = np.divmod(np.flatnonzero(mask), dense.shape[1])
         return cls(
             shape=dense.shape,
             indptr=indptr,
             indices=cols_idx,
-            data=dense[rows_idx, cols_idx].copy(),
+            data=dense[rows_idx, cols_idx],
         )
 
     def to_dense(

@@ -19,7 +19,7 @@ from repro.backends.sparse import identity_absorbs
 from repro.compile import compile_mmo, resolve_opcode
 from repro.core import SEMIRINGS, mmo
 from repro.hw.device import Simd2Device
-from repro.resilience import checked_mmo
+from repro.resilience import Recovery, RetryPolicy
 from repro.runtime import (
     ExecutionContext,
     HostRuntime,
@@ -263,6 +263,7 @@ class TestQuantiseOnce:
     def test_checked_mmo_verifies(self, backend):
         a = np.full((3, 4), self.X)
         b = np.full((4, 5), self.X)
-        with use_context(backend=backend) as ctx:
-            d, _ = checked_mmo("min-plus", a, b, context=ctx)
+        once = Recovery(retry=RetryPolicy(max_retries=0))
+        with use_context(backend=backend, recovery=once) as ctx:
+            d, _ = mmo_tiled("min-plus", a, b, context=ctx)
         np.testing.assert_array_equal(d, mmo("min-plus", a, b))

@@ -319,16 +319,3 @@ class TestPlannerOrder:
         a = np.where(rng.random((256, 256)) < 0.005, 1.0, np.inf)
         order = planner_order("min-plus", a, a, table=AutotuneTable())
         assert order[0] == "sparse"
-
-    def test_ring_only_order_is_capability_filtered(self):
-        order = planner_order("plus-norm", table=AutotuneTable())
-        assert "sparse" not in order
-        assert "auto" not in order
-        assert order[0] == "vectorized"
-
-    def test_nominal_order_covers_every_concrete_backend(self):
-        from repro.backends import list_backends
-
-        order = planner_order(table=AutotuneTable())
-        concrete = set(list_backends()) - {"auto"}
-        assert set(order) == concrete

@@ -16,6 +16,7 @@ from repro.resilience import (
     FaultPlan,
     FaultSpec,
     InjectedFault,
+    Recovery,
     ResilienceError,
     ResilienceExhausted,
     RetryPolicy,
@@ -37,11 +38,13 @@ class ResilientMmo:
         return result
 
     def backends(self, a, b):
-        return FallbackChain().plan("vectorized", ring="min-plus", a=a, b=b)
+        return FallbackChain().plan(
+            "vectorized", ring="min-plus", a=a, b=b, c=None
+        )
 
 
 class CheckedBand:
-    """A one-device ``mmo_tiled_multi_device(checked=True)`` band node.
+    """A one-device ``mmo_tiled_multi_device`` band under a checked recovery.
 
     Bands have no fallback chain, so a spent band re-raises its last
     failure instead of :class:`ResilienceExhausted`.
@@ -52,8 +55,8 @@ class CheckedBand:
 
     def run(self, a, b, ctx, **policy):
         result, _ = mmo_tiled_multi_device(
-            "min-plus", a, b, devices=[Simd2Device()], context=ctx,
-            checked=True, **policy,
+            "min-plus", a, b, devices=[Simd2Device()],
+            context=ctx.replace(recovery=Recovery(**policy)),
         )
         return result
 
@@ -90,26 +93,34 @@ class TestRetryPolicy:
 class TestFallbackChain:
     def test_plan_starts_at_context_backend_and_dedups(self):
         chain = FallbackChain(backends=("vectorized", "emulate"))
-        assert chain.plan("vectorized") == ("vectorized", "emulate")
-        assert chain.plan("emulate") == ("emulate", "vectorized")
-        assert chain.plan("sparse") == ("sparse", "vectorized", "emulate")
+        ones = np.ones((4, 4))
+        launch = {"ring": "min-plus", "a": ones, "b": ones, "c": None}
+        assert chain.plan("vectorized", **launch) == ("vectorized", "emulate")
+        assert chain.plan("emulate", **launch) == ("emulate", "vectorized")
+        assert chain.plan("sparse", **launch) == (
+            "sparse", "vectorized", "emulate"
+        )
 
     def test_should_fall_back_classification(self):
         chain = FallbackChain()
         assert chain.should_fall_back(InjectedFault("x"))
         assert not chain.should_fall_back(ValueError("x"))
 
-    def test_default_chain_uses_planner_order(self):
+    def test_default_chain_uses_planner_order(self, rng):
         chain = FallbackChain()  # backends=None -> planner-ranked
-        order = chain.plan("emulate", ring="min-plus")
+        a = rng.random((64, 64))
+        order = chain.plan("emulate", ring="min-plus", a=a, b=a, c=None)
         assert order[0] == "emulate"
         assert set(order) == {"emulate", "vectorized", "sparse"}
         assert "auto" not in order  # planning backends never self-nominate
 
-    def test_default_chain_capability_filters(self):
+    def test_default_chain_capability_filters(self, rng):
         # The sparse backend cannot run plus-norm (its ⊕ identity is not
         # ⊗-absorbing), so the planner-ordered chain never routes there.
-        order = FallbackChain().plan("vectorized", ring="plus-norm")
+        a = rng.random((64, 64))
+        order = FallbackChain().plan(
+            "vectorized", ring="plus-norm", a=a, b=a, c=None
+        )
         assert order[0] == "vectorized"
         assert "sparse" not in order
 
@@ -120,8 +131,10 @@ class TestFallbackChain:
         idx = rng.integers(0, 128, 60)
         sparse_op[idx, rng.integers(0, 128, 60)] = 1.0
         chain = FallbackChain()
-        dense_order = chain.plan("emulate", ring=sr, a=dense, b=dense)
-        sparse_order = chain.plan("emulate", ring=sr, a=sparse_op, b=sparse_op)
+        dense_order = chain.plan("emulate", ring=sr, a=dense, b=dense, c=None)
+        sparse_order = chain.plan(
+            "emulate", ring=sr, a=sparse_op, b=sparse_op, c=None
+        )
         # Near-empty operands rank the sparse backend ahead of where it
         # lands for full operands.
         assert sparse_order.index("sparse") <= dense_order.index("sparse")

@@ -155,17 +155,39 @@ class TestResilienceEdges:
 
     def test_checked_bands_catch_injected_corruption(self, rng):
         from repro.core import SEMIRINGS
-        from repro.resilience import FaultPlan, FaultSpec
+        from repro.resilience import FaultPlan, FaultSpec, Recovery
         from repro.runtime import Trace, use_context
 
         a, b, c = make_ring_inputs(SEMIRINGS["min-plus"], 48, 16, 48, rng)
         trace = Trace()
         plan = FaultPlan(seed=4, corrupt={0: FaultSpec(kind="nan")})
-        with use_context(backend="emulate", fault_plan=plan, trace=trace) as ctx:
+        with use_context(
+            backend="emulate", fault_plan=plan, trace=trace, recovery=Recovery()
+        ) as ctx:
             got, _ = mmo_tiled_multi_device(
                 "min-plus", a, b, c, devices=_devices(2), context=ctx,
-                checked=True,
             )
         np.testing.assert_array_equal(got, mmo("min-plus", a, b, c))
         assert trace.summary().corruptions_detected >= 1
         assert trace.summary().retries >= 1
+
+    def test_recovery_with_a_fallback_chain_is_rejected(self, rng):
+        # Bands recover by retry and repartition; a context recovery that
+        # would fall back across backends is refused before any band runs.
+        from repro.core import SEMIRINGS
+        from repro.resilience import (
+            FallbackChain, FaultPlan, Recovery, ResilienceError,
+        )
+        from repro.runtime import use_context
+
+        a, b, c = make_ring_inputs(SEMIRINGS["min-plus"], 32, 16, 32, rng)
+        plan = FaultPlan()
+        chain = FallbackChain(backends=("emulate", "vectorized"))
+        with use_context(
+            backend="emulate", fault_plan=plan, recovery=Recovery(fallback=chain)
+        ) as ctx:
+            with pytest.raises(ResilienceError, match="devices=.*fallback="):
+                mmo_tiled_multi_device(
+                    "min-plus", a, b, c, devices=_devices(2), context=ctx
+                )
+        assert plan.launches_seen == 0

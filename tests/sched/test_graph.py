@@ -82,7 +82,7 @@ class TestRecoveryDriver:
     """A launch node's policy is the one retry/check/fallback path."""
 
     def test_node_never_retries_a_permanent_error(self, rng):
-        from repro.resilience import RetryPolicy
+        from repro.resilience import Recovery, RetryPolicy
         from repro.runtime import Trace
         from repro.runtime.kernels import OperandValidationError
 
@@ -90,7 +90,10 @@ class TestRecoveryDriver:
         plan = FaultPlan()
         trace = Trace()
         greedy = RetryPolicy(max_retries=5, retry_on=(Exception,))
-        with use_context(backend="vectorized", fault_plan=plan, trace=trace) as ctx:
+        with use_context(
+            backend="vectorized", fault_plan=plan, trace=trace,
+            recovery=Recovery(checked=False, retry=greedy),
+        ) as ctx:
             builder = GraphBuilder(ctx, "node")
             builder.launch(
                 resolve_opcode(MIN_PLUS),
@@ -98,7 +101,6 @@ class TestRecoveryDriver:
                 b,
                 # A mis-shaped accumulator: a deterministic rejection.
                 np.zeros((8, 16)),
-                retry=greedy,
             )
             with pytest.raises(OperandValidationError, match="accumulator shape"):
                 SerialExecutor().run(builder.build(), context=ctx)

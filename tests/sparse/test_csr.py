@@ -62,6 +62,47 @@ class TestRoundTrip:
         assert csr.to_dense(dtype=np.float32).dtype == np.float32
 
 
+def _nonzero_reference(dense, implicit):
+    """The arrays a 2-D ``np.nonzero`` over the explicit entries gives."""
+    if isinstance(implicit, float) and np.isnan(implicit):
+        mask = ~np.isnan(dense)
+    else:
+        mask = dense != implicit
+    rows, cols = np.nonzero(mask)
+    indptr = np.zeros(dense.shape[0] + 1, dtype=np.int64)
+    np.cumsum(mask.sum(axis=1), out=indptr[1:])
+    return indptr, cols, dense[rows, cols]
+
+
+class TestFromDenseIndices:
+    """``from_dense`` equals the 2-D ``np.nonzero`` construction exactly."""
+
+    @staticmethod
+    def _cases():
+        rng = np.random.default_rng(3)
+        transposed = _random_dense(17, 29, 0.3, seed=4).T  # F-ordered view
+        nan_implicit = np.where(rng.random((12, 9)) < 0.4, 2.5, np.nan)
+        empty_rows = _random_dense(10, 21, 0.5, seed=6)
+        empty_rows[[0, 3, 4, 9]] = 0.0
+        all_implicit = np.full((5, 7), np.inf)
+        return [
+            (transposed, 0.0),
+            (nan_implicit, np.nan),
+            (empty_rows, 0.0),
+            (all_implicit, np.inf),
+            (np.zeros((4, 0)), 0.0),
+        ]
+
+    def test_matches_the_two_dimensional_nonzero(self):
+        for dense, implicit in self._cases():
+            csr = CsrMatrix.from_dense(dense, implicit=implicit)
+            indptr, indices, data = _nonzero_reference(dense, implicit)
+            for got, want in ((csr.indptr, indptr), (csr.indices, indices),
+                              (csr.data, data)):
+                np.testing.assert_array_equal(got, want)
+                assert got.dtype == want.dtype
+
+
 class TestRingAwareDensify:
     def test_min_plus_fills_inf(self):
         # Regression: to_dense() defaults implicit=0.0, which silently
