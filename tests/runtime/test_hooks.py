@@ -257,6 +257,15 @@ class TestHotPath:
         ctx = ExecutionContext()
         assert ctx.pipeline is ctx.pipeline
 
+    def test_a_recovery_copy_shares_the_pipeline(self):
+        # No hook depends on the policy, so a per-call recovery copy
+        # (resilient_mmo's) reuses the pipeline; any other field rebuilds.
+        from repro.resilience import Recovery
+
+        ctx = ExecutionContext(trace=Trace())
+        assert ctx.replace(recovery=Recovery()).pipeline is ctx.pipeline
+        assert ctx.replace(recovery=None, trace=None).pipeline.hooks == ()
+
     def test_default_pipeline_dispatches_launchless(self, rng):
         # No trace, no faults: the pipeline is empty and begin_launch
         # returns None instead of a Launch carrier.
